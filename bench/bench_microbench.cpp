@@ -72,9 +72,8 @@ void BM_LazyPagerank(benchmark::State& state) {
   for (auto _ : state) {
     sim::Cluster cluster({machines, {}, 0});
     benchmark::DoNotOptimize(
-        engine::run({.kind = engine::EngineKind::kLazyBlock,
-                     .graph_ev_ratio = g.edge_vertex_ratio()},
-                    dg, algos::PageRankDelta{}, cluster));
+        engine::run({.kind = engine::EngineKind::kLazyBlock}, dg,
+                    algos::PageRankDelta{}, cluster));
   }
 }
 BENCHMARK(BM_LazyPagerank)->Arg(8)->Arg(48)->Unit(benchmark::kMillisecond);
@@ -209,9 +208,8 @@ void BM_ExchangeCodec(benchmark::State& state) {
   std::uint64_t supersteps = 0;
   for (auto _ : state) {
     sim::Cluster cluster({machines, {}, 0});
-    const auto r = engine::run({.kind = engine::EngineKind::kLazyBlock,
-                                .graph_ev_ratio = g.edge_vertex_ratio()},
-                               dg, algos::PageRankDelta{}, cluster);
+    const auto r = engine::run({.kind = engine::EngineKind::kLazyBlock}, dg,
+                               algos::PageRankDelta{}, cluster);
     benchmark::DoNotOptimize(r);
     last = r.metrics;
     supersteps = r.supersteps;
@@ -330,10 +328,8 @@ void BM_Recovery(benchmark::State& state) {
   std::uint64_t supersteps = 0;
   for (auto _ : state) {
     sim::Cluster cluster({machines, {}, 0, plan});
-    const auto r =
-        engine::run({.kind = engine::EngineKind::kLazyBlock,
-                     .graph_ev_ratio = g.edge_vertex_ratio()},
-                    dg, algos::PageRankDelta{}, cluster);
+    const auto r = engine::run({.kind = engine::EngineKind::kLazyBlock}, dg,
+                               algos::PageRankDelta{}, cluster);
     benchmark::DoNotOptimize(r);
     last = r.metrics;
     supersteps = r.supersteps;
@@ -381,7 +377,6 @@ void BM_ServeThroughput(benchmark::State& state) {
   }();
   serve::ServeOptions o;
   o.run.kind = engine::EngineKind::kLazyBlock;
-  o.run.graph_ev_ratio = g.edge_vertex_ratio();
   o.policy.max_lanes = max_lanes;
   o.policy.max_wait_seconds = 0.05;
   o.cluster_threads = 1;

@@ -121,7 +121,6 @@ CellResult run_cell(Algo algo, const datasets::DatasetSpec& spec,
   sim::Cluster cluster(sim::ClusterConfig{cfg.machines, net, cfg.threads});
   engine::RunConfig rcfg;
   rcfg.kind = kind;
-  rcfg.graph_ev_ratio = g.edge_vertex_ratio();
   rcfg.interval.policy = cfg.interval;
   rcfg.comm_policy = cfg.comm_policy;
   if (cfg.tracer) {

@@ -25,27 +25,26 @@
 #include <vector>
 
 #include "engine/local_sweep.hpp"
+#include "engine/run_config.hpp"
 #include "engine/state.hpp"
 #include "recovery/recovery.hpp"
 #include "sim/cluster.hpp"
 
 namespace lazygraph::engine {
 
-struct AsyncOptions {
-  std::uint64_t max_rounds = 1'000'000;
-  /// Optional pipeline-stage injection (see InitInjection; not owned).
-  const InitInjection* init = nullptr;
-  /// Accepted for RunConfig parity; inert — the eager engine's serial
-  /// Gauss-Seidel sweeps are push by definition.
-  SweepDirection sweep = SweepDirection::kAdaptive;
-};
-
+/// Reads only max_supersteps (the round bound) from the RunConfig.
 template <VertexProgram P>
 class AsyncEngine {
  public:
   AsyncEngine(const partition::DistributedGraph& dg, P prog,
-              sim::Cluster& cluster, AsyncOptions opts = {})
-      : dg_(dg), prog_(std::move(prog)), cluster_(cluster), opts_(opts) {
+              sim::Cluster& cluster, const RunConfig& cfg,
+              const InitInjection* init, CoherencyInspector<P> inspect)
+      : dg_(dg),
+        prog_(std::move(prog)),
+        cluster_(cluster),
+        cfg_(cfg),
+        init_(init),
+        inspector_(std::move(inspect)) {
     require(cluster.num_machines() == dg.num_machines(),
             "AsyncEngine: cluster/graph machine count mismatch");
     require(dg.parallel_edge_copies() == 0,
@@ -54,9 +53,9 @@ class AsyncEngine {
 
   RunResult<P> run() {
     const machine_t p = dg_.num_machines();
-    states_ = make_states(dg_, prog_, opts_.init);
+    states_ = make_states(dg_, prog_, init_);
     cluster_.metrics().sweep_scanned +=
-        init_eager_messages(prog_, dg_, states_, opts_.init);
+        init_eager_messages(prog_, dg_, states_, init_);
     recovery::Recoverer<P> recoverer(cluster_, dg_);
 
     RunResult<P> result;
@@ -65,7 +64,7 @@ class AsyncEngine {
     // min-heap of masters activated mid-round ahead of the cursor.
     std::vector<std::vector<lvid_t>> pending(p), heaps(p);
 
-    for (std::uint64_t round = 0; round < opts_.max_rounds; ++round) {
+    for (std::uint64_t round = 0; round < cfg_.max_supersteps; ++round) {
       ++cluster_.metrics().supersteps;
       ++result.supersteps;
       bool any = false;
@@ -221,20 +220,12 @@ class AsyncEngine {
     return result;
   }
 
-  const std::vector<PartState<P>>& states() const { return states_; }
-
-  /// Invoked at the end of every Gauss-Seidel round: eager coherency pushes
-  /// each new vertex value to all mirrors within the update itself, so
-  /// replicas of every vertex hold identical vdata here.
-  void set_coherency_inspector(CoherencyInspector<P> inspector) {
-    inspector_ = std::move(inspector);
-  }
-
  private:
   const partition::DistributedGraph& dg_;
   P prog_;
   sim::Cluster& cluster_;
-  AsyncOptions opts_;
+  RunConfig cfg_;
+  const InitInjection* init_;
   std::vector<PartState<P>> states_;
   CoherencyInspector<P> inspector_;
 };

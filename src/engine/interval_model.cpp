@@ -14,9 +14,8 @@ const char* to_string(IntervalPolicy p) {
   return "?";
 }
 
-IntervalModel::IntervalModel(const IntervalModelConfig& cfg,
-                             double graph_ev_ratio)
-    : cfg_(cfg), ev_ratio_(graph_ev_ratio) {}
+IntervalModel::IntervalModel(const IntervalModelConfig& cfg, double ev_ratio)
+    : cfg_(cfg), ev_ratio_(ev_ratio) {}
 
 bool IntervalModel::turn_on_lazy(std::uint64_t active_now) {
   switch (cfg_.policy) {

@@ -33,7 +33,7 @@ struct IntervalModelConfig {
 
 class IntervalModel {
  public:
-  IntervalModel(const IntervalModelConfig& cfg, double graph_ev_ratio);
+  IntervalModel(const IntervalModelConfig& cfg, double ev_ratio);
 
   /// Called at each data coherency point with the current global active
   /// count; returns whether the next interval runs local computation stages.

@@ -36,47 +36,41 @@
 #include "engine/comm_mode.hpp"
 #include "engine/interval_model.hpp"
 #include "engine/local_sweep.hpp"
+#include "engine/run_config.hpp"
 #include "engine/state.hpp"
 #include "recovery/recovery.hpp"
 #include "sim/cluster.hpp"
 
 namespace lazygraph::engine {
 
-struct LazyOptions {
-  std::uint64_t max_supersteps = 1'000'000;
-  IntervalModelConfig interval = {};
-  CommModePolicy comm_policy = CommModePolicy::kAdaptive;
-  /// Intra-machine thread budget for the local sweeps. Values > 1 switch
-  /// Stage 1 from Gauss-Seidel to snapshot sub-sweeps (see header comment).
-  std::uint32_t threads_per_machine = 1;
-  /// Optional pipeline-stage injection (see InitInjection; not owned).
-  const InitInjection* init = nullptr;
-  /// Direction policy for the chunk-parallel local sweeps (push staging, CSC
-  /// pull, or the adaptive frontier-density rule). Serial Gauss-Seidel
-  /// sub-sweeps are push by definition and ignore the knob.
-  SweepDirection sweep = SweepDirection::kAdaptive;
-};
-
+/// Reads max_supersteps, interval, comm_policy, threads_per_machine (values
+/// > 1 switch Stage 1 to snapshot sub-sweeps, see above) and sweep (the
+/// chunked sweeps' direction; serial Gauss-Seidel sub-sweeps are push by
+/// definition) from the RunConfig. The interval model's E/V ratio is the
+/// graph's user view (DistributedGraph::user_ev_ratio).
 template <VertexProgram P>
 class LazyBlockAsyncEngine {
  public:
   LazyBlockAsyncEngine(const partition::DistributedGraph& dg, P prog,
-                       sim::Cluster& cluster, LazyOptions opts = {},
-                       double graph_ev_ratio = 0.0)
+                       sim::Cluster& cluster, const RunConfig& cfg,
+                       const InitInjection* init,
+                       CoherencyInspector<P> inspect)
       : dg_(dg),
         prog_(std::move(prog)),
         cluster_(cluster),
-        opts_(opts),
-        interval_(opts.interval, graph_ev_ratio) {
+        cfg_(cfg),
+        init_(init),
+        inspector_(std::move(inspect)),
+        interval_(cfg.interval, dg.user_ev_ratio()) {
     require(cluster.num_machines() == dg.num_machines(),
             "LazyBlockAsyncEngine: cluster/graph machine count mismatch");
   }
 
   RunResult<P> run() {
     const machine_t p = dg_.num_machines();
-    states_ = make_states(dg_, prog_, opts_.init);
+    states_ = make_states(dg_, prog_, init_);
     cluster_.metrics().sweep_scanned +=
-        init_lazy_messages(prog_, dg_, states_, opts_.init);
+        init_lazy_messages(prog_, dg_, states_, init_);
     exch_pending_.assign(p, {});
     exch_fresh_.assign(p, {});
     // Reserve the pooled exchange scratch to its structural worst case —
@@ -98,41 +92,35 @@ class LazyBlockAsyncEngine {
     exch_bytes_.assign(p, 0);
     exch_up_coders_.assign(std::size_t{p} * p, {});
     exch_down_coders_.assign(std::size_t{p} * p, {});
-    const SweepExec exec{&cluster_, opts_.threads_per_machine};
+    const SweepExec exec{&cluster_, cfg_.threads_per_machine};
     recovery::Recoverer<P> recoverer(cluster_, dg_);
 
     RunResult<P> result;
-    std::vector<std::uint64_t> work(p), applies(p), subiters(p), scanned(p);
-    // Per-machine sweep counters and direction votes for the superstep
-    // (members of the hoisted scratch so steady state allocates nothing).
-    // A machine votes only when it actually swept; -1 no vote, 0 push,
-    // 1 pull, 2 mixed.
-    std::vector<SweepCounters> sweepc(p);
-    std::vector<int> sweep_dirs(p);
-    auto fold_dirs = [&]() {
-      int agg = -1;
-      for (machine_t m = 0; m < p; ++m) {
-        const int dm = sweep_dirs[m];
-        if (dm == -1) continue;
-        agg = (agg == -1 || agg == dm) ? dm : 2;
+    std::vector<std::uint64_t> work(p), subiters(p);
+    // Per-machine sweep tallies for one phase of the superstep. A machine
+    // votes on the superstep's direction only for sweeps that did work or
+    // pulled.
+    std::vector<SweepTally> tally(p);
+    auto fold_tallies = [&](int& dir) {
+      for (const SweepTally& t : tally) {
+        cluster_.metrics().applies += t.sum.applies;
+        cluster_.metrics().sweep_scanned += t.sum.scanned;
+        fold_sweep(cluster_.metrics(), t, dir);
       }
-      return agg;
     };
     bool do_local = false;  // the paper's first iteration skips Stage 1
 
-    for (std::uint64_t step = 0; step < opts_.max_supersteps; ++step) {
+    for (std::uint64_t step = 0; step < cfg_.max_supersteps; ++step) {
       ++cluster_.metrics().supersteps;
       ++result.supersteps;
       const double iter_start_seconds = cluster_.metrics().sim_seconds();
-      std::fill(sweep_dirs.begin(), sweep_dirs.end(), -1);
+      int dir = -1;
 
       // ---- Stage 1: local computation. ----
       if (do_local) {
         std::fill(work.begin(), work.end(), 0);
-        std::fill(applies.begin(), applies.end(), 0);
         std::fill(subiters.begin(), subiters.end(), 0);
-        std::fill(scanned.begin(), scanned.end(), 0);
-        std::fill(sweepc.begin(), sweepc.end(), SweepCounters{});
+        std::fill(tally.begin(), tally.end(), SweepTally{});
         const double first_iter_seconds = first_iter_seconds_;
         cluster_.parallel_machines([&](machine_t m) {
           const partition::Part& part = dg_.part(m);
@@ -141,17 +129,10 @@ class LazyBlockAsyncEngine {
           bool first = true;
           for (;;) {
             const SweepCounters c = local_sweep(
-                prog_, part, s, SweepMode::kGaussSeidel, exec, opts_.sweep);
-            scanned[m] += c.scanned;
-            sweepc[m] += c;
-            if (c.work != 0 || c.pull_rounds != 0) {
-              const int dm = c.pull_rounds > 0 ? 1 : 0;
-              sweep_dirs[m] =
-                  (sweep_dirs[m] == -1 || sweep_dirs[m] == dm) ? dm : 2;
-            }
+                prog_, part, s, SweepMode::kGaussSeidel, exec, cfg_.sweep);
+            tally[m].add(c, c.work != 0 || c.pull_rounds != 0);
             if (c.work == 0) break;
             work[m] += c.work;
-            applies[m] += c.applies;
             ++subiters[m];
             if (first) {
               budget = interval_.local_stage_budget(
@@ -163,15 +144,9 @@ class LazyBlockAsyncEngine {
         });
         cluster_.charge_compute(sim::SpanKind::kLocalStage, work);
         for (machine_t m = 0; m < p; ++m) {
-          cluster_.metrics().applies += applies[m];
           cluster_.metrics().local_subiterations += subiters[m];
-          cluster_.metrics().sweep_scanned += scanned[m];
-          cluster_.metrics().sweep_pull_rounds += sweepc[m].pull_rounds;
-          cluster_.metrics().sweep_edges_pushed += sweepc[m].pushed;
-          cluster_.metrics().sweep_edges_pulled += sweepc[m].pulled;
-          cluster_.metrics().sweep_staging_avoided_bytes +=
-              sweepc[m].staging_avoided_bytes;
         }
+        fold_tallies(dir);
       }
 
       // ---- Stage 2: data coherency. ----
@@ -182,7 +157,7 @@ class LazyBlockAsyncEngine {
       for (machine_t m = 0; m < p; ++m) active += states_[m].count_msgs();
       if (active == 0) {
         record_superstep_snapshot(result.supersteps, active, do_local, comm,
-                                  fold_dirs());
+                                  dir);
         // The exchange delivered nothing and no messages are pending: the
         // previous coherency point's view is still the global one.
         if (inspector_) inspector_(result.supersteps, states_);
@@ -197,40 +172,23 @@ class LazyBlockAsyncEngine {
       // ---- Coherency point: apply + scatter the merged view. ----
       // Batch (snapshot) semantics per Algorithm 1: every vertex applies its
       // complete merged accumulator exactly once.
-      std::fill(work.begin(), work.end(), 0);
-      std::fill(applies.begin(), applies.end(), 0);
-      std::fill(scanned.begin(), scanned.end(), 0);
-      std::fill(sweepc.begin(), sweepc.end(), SweepCounters{});
       cluster_.parallel_machines([&](machine_t m) {
         const SweepCounters c =
             local_sweep(prog_, dg_.part(m), states_[m], SweepMode::kSnapshot,
-                        exec, opts_.sweep);
+                        exec, cfg_.sweep);
         work[m] = c.work;
-        applies[m] = c.applies;
-        scanned[m] = c.scanned;
-        sweepc[m] = c;
-        if (c.work != 0 || c.pull_rounds != 0) {
-          const int dm = c.pull_rounds > 0 ? 1 : 0;
-          sweep_dirs[m] = (sweep_dirs[m] == -1 || sweep_dirs[m] == dm) ? dm : 2;
-        }
+        tally[m] = {};
+        tally[m].add(c, c.work != 0 || c.pull_rounds != 0);
       });
       cluster_.charge_compute(sim::SpanKind::kApplySweep, work);
-      for (machine_t m = 0; m < p; ++m) {
-        cluster_.metrics().applies += applies[m];
-        cluster_.metrics().sweep_scanned += scanned[m];
-        cluster_.metrics().sweep_pull_rounds += sweepc[m].pull_rounds;
-        cluster_.metrics().sweep_edges_pushed += sweepc[m].pushed;
-        cluster_.metrics().sweep_edges_pulled += sweepc[m].pulled;
-        cluster_.metrics().sweep_staging_avoided_bytes +=
-            sweepc[m].staging_avoided_bytes;
-      }
+      fold_tallies(dir);
       // Recorded after the coherency sweep so the snapshot's direction covers
       // every sweep of this superstep (Stage 1 sub-sweeps and the coherency
       // apply+scatter). Snapshot contents are otherwise unchanged: the
       // interval/comm decisions above are already fixed, and the step-0
       // T calibration below has not run yet.
       record_superstep_snapshot(result.supersteps, active, do_local, comm,
-                                fold_dirs());
+                                dir);
       if (inspector_) inspector_(result.supersteps, states_);
 
       // "We collect the execution time T of the first iteration ... online":
@@ -248,17 +206,6 @@ class LazyBlockAsyncEngine {
 
     finalize_result(result, cluster_, dg_, states_);
     return result;
-  }
-
-  const std::vector<PartState<P>>& states() const { return states_; }
-
-  /// Invoked after every coherency point's apply+scatter sweep (and at the
-  /// terminal quiescent exchange): every replica has folded in the others'
-  /// deltas and applied the same merged accumulator, so all replicas of a
-  /// vertex hold the identical global view (paper §3.2) — exactly for
-  /// semilattice Sums, up to floating-point association for additive ones.
-  void set_coherency_inspector(CoherencyInspector<P> inspector) {
-    inspector_ = std::move(inspector);
   }
 
  private:
@@ -342,7 +289,7 @@ class LazyBlockAsyncEngine {
       est.m2m_bytes += est_m2m[m];
     }
     const CommDecision decision =
-        decide_comm_mode(opts_.comm_policy, cluster_.net(), est);
+        decide_comm_mode(cfg_.comm_policy, cluster_.net(), est);
     const sim::CommMode mode = decision.mode;
 
     // Pass 2: deliver and clear.
@@ -473,7 +420,9 @@ class LazyBlockAsyncEngine {
   const partition::DistributedGraph& dg_;
   P prog_;
   sim::Cluster& cluster_;
-  LazyOptions opts_;
+  RunConfig cfg_;
+  const InitInjection* init_;
+  CoherencyInspector<P> inspector_;
   IntervalModel interval_;
   std::vector<PartState<P>> states_;
   std::vector<std::vector<lvid_t>> exch_pending_;
@@ -484,7 +433,6 @@ class LazyBlockAsyncEngine {
   std::vector<std::uint64_t> exch_est_a2a_, exch_est_m2m_;
   std::vector<std::uint64_t> exch_msgs_, exch_bytes_;
   std::vector<wire::DeltaSizeCoder> exch_up_coders_, exch_down_coders_;
-  CoherencyInspector<P> inspector_;
   double first_iter_seconds_ = 0.0;
 };
 

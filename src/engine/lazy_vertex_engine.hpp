@@ -19,38 +19,36 @@
 #include <vector>
 
 #include "engine/local_sweep.hpp"
+#include "engine/run_config.hpp"
 #include "engine/state.hpp"
 #include "recovery/recovery.hpp"
 #include "sim/cluster.hpp"
 
 namespace lazygraph::engine {
 
-struct LazyVertexOptions {
-  std::uint64_t max_cycles = 10'000'000;
-  /// Local applies a spanning replica may perform between coherency events.
-  std::uint32_t staleness = 4;
-  /// Optional pipeline-stage injection (see InitInjection; not owned).
-  const InitInjection* init = nullptr;
-  /// Accepted for RunConfig parity; inert — the vertex-grained engine's
-  /// serial Gauss-Seidel sweeps are push by definition.
-  SweepDirection sweep = SweepDirection::kAdaptive;
-};
-
+/// Reads max_supersteps (the cycle bound) and staleness from the RunConfig.
 template <VertexProgram P>
 class LazyVertexAsyncEngine {
  public:
   LazyVertexAsyncEngine(const partition::DistributedGraph& dg, P prog,
-                        sim::Cluster& cluster, LazyVertexOptions opts = {})
-      : dg_(dg), prog_(std::move(prog)), cluster_(cluster), opts_(opts) {
+                        sim::Cluster& cluster, const RunConfig& cfg,
+                        const InitInjection* init,
+                        CoherencyInspector<P> inspect)
+      : dg_(dg),
+        prog_(std::move(prog)),
+        cluster_(cluster),
+        cfg_(cfg),
+        init_(init),
+        inspector_(std::move(inspect)) {
     require(cluster.num_machines() == dg.num_machines(),
             "LazyVertexAsyncEngine: cluster/graph machine count mismatch");
   }
 
   RunResult<P> run() {
     const machine_t p = dg_.num_machines();
-    states_ = make_states(dg_, prog_, opts_.init);
+    states_ = make_states(dg_, prog_, init_);
     cluster_.metrics().sweep_scanned +=
-        init_lazy_messages(prog_, dg_, states_, opts_.init);
+        init_lazy_messages(prog_, dg_, states_, init_);
 
     queues_.assign(p, {});
     in_queue_.resize(p);
@@ -82,7 +80,7 @@ class LazyVertexAsyncEngine {
     RunResult<P> result;
     std::vector<std::uint64_t> work(p);
 
-    for (std::uint64_t cycle = 0; cycle < opts_.max_cycles; ++cycle) {
+    for (std::uint64_t cycle = 0; cycle < cfg_.max_supersteps; ++cycle) {
       std::fill(work.begin(), work.end(), 0);
       msgs_ = bytes_ = wire_ = 0;
       bool any = false;
@@ -135,16 +133,6 @@ class LazyVertexAsyncEngine {
     return result;
   }
 
-  const std::vector<PartState<P>>& states() const { return states_; }
-
-  /// Invoked once, at termination: per-vertex coherency events merge deltas
-  /// but leave the delivery pending in the replicas' message slots, so the
-  /// identical global view is only guaranteed once every queue has drained
-  /// and the final flush delivers nothing.
-  void set_coherency_inspector(CoherencyInspector<P> inspector) {
-    inspector_ = std::move(inspector);
-  }
-
  private:
   void enqueue(machine_t m, lvid_t v) {
     if (!in_queue_[m][v]) {
@@ -160,7 +148,7 @@ class LazyVertexAsyncEngine {
     const bool spans = part.num_replicas(v) > 1;
 
     bool did = false;
-    if (spans && applies_since_[m][v] >= opts_.staleness) {
+    if (spans && applies_since_[m][v] >= cfg_.staleness) {
       did |= coherency_event(m, v, work);
     }
     if (!s.has_msg[v]) return did;
@@ -330,7 +318,8 @@ class LazyVertexAsyncEngine {
   const partition::DistributedGraph& dg_;
   P prog_;
   sim::Cluster& cluster_;
-  LazyVertexOptions opts_;
+  RunConfig cfg_;
+  const InitInjection* init_;
   std::vector<PartState<P>> states_;
   std::vector<std::deque<lvid_t>> queues_;
   std::vector<std::vector<std::uint8_t>> in_queue_;

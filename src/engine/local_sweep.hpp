@@ -29,6 +29,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "engine/state.hpp"
@@ -133,11 +134,6 @@ enum class SweepMode {
   kSnapshot,
 };
 
-/// Items per worker chunk in the deterministic parallel sweep — now only the
-/// run_chunks granularity for callers that slice plain index ranges; the
-/// sweep itself uses edge-balanced chunks (kSweepEdgeBudget below).
-inline constexpr std::size_t kSweepChunk = 256;
-
 /// Cumulative (1 + degree) weight budget per sweep chunk. Degree-derived —
 /// never thread-derived — so the chunk decomposition (and with it the merge
 /// order and every counter) is identical across thread counts, while a run
@@ -152,7 +148,7 @@ struct SweepExec {
   std::uint32_t threads = 1;
 };
 
-/// Runs body(begin, end) over [0, n) in kSweepChunk-aligned slices, on the
+/// Runs body(begin, end) over [0, n) in chunk_size-aligned slices, on the
 /// cluster pool when the exec budget allows, inline otherwise.
 inline void run_chunks(const SweepExec& exec, std::size_t n,
                        std::size_t chunk_size,
@@ -164,6 +160,59 @@ inline void run_chunks(const SweepExec& exec, std::size_t n,
   for (std::size_t b = 0; b < n; b += chunk_size) {
     body(b, std::min(n, b + chunk_size));
   }
+}
+
+/// Resolves one chunked sweep's direction over its ascending work list:
+/// true = pull. The adaptive rule is the sweep-cost crossover: push pays a
+/// staged write plus a merge read per frontier out-edge (2 * frontier
+/// edges), pull pays one scan of every local in-edge (num_local_edges).
+/// Deterministic — both inputs are exact counters. Parts without the CSC
+/// mirror (hand-assembled fixtures) always push, as does the empty sweep
+/// (nothing to do either way).
+inline bool sweep_pulls(const partition::Part& part,
+                        std::span<const lvid_t> items, SweepDirection dir) {
+  const bool has_mirror =
+      part.in_offsets.size() == static_cast<std::size_t>(part.num_local()) + 1;
+  if (items.empty() || !has_mirror) return false;
+  if (dir != SweepDirection::kAdaptive) return dir == SweepDirection::kPull;
+  std::uint64_t frontier_edges = 0;
+  for (const lvid_t v : items) {
+    frontier_edges += part.offsets[v + 1] - part.offsets[v];
+  }
+  return 2 * frontier_edges >= part.num_local_edges();
+}
+
+/// One machine's sweeps over (part of) a superstep: the summed counters and
+/// the machine's direction vote — -1 no vote, 0 push, 1 pull, 2 mixed. Each
+/// engine decides which sweeps vote.
+struct SweepTally {
+  SweepCounters sum;
+  int vote = -1;
+
+  void add(const SweepCounters& c, bool votes) {
+    sum += c;
+    if (votes) vote = join_vote(vote, c.pull_rounds > 0 ? 1 : 0);
+  }
+  /// Votes join like a semilattice: -1 is the identity, any disagreement
+  /// is 2, so the superstep aggregate is independent of fold order.
+  static int join_vote(int a, int b) {
+    if (a == -1) return b;
+    if (b == -1) return a;
+    return a == b ? a : 2;
+  }
+};
+
+/// Folds a machine's tally into the run metrics (the direction-attributed
+/// counters; engines charge work, applies and scans themselves) and joins
+/// its vote into the superstep's direction `dir`. Serial: cluster metrics
+/// are not thread-safe.
+inline void fold_sweep(sim::SimMetrics& metrics, const SweepTally& t,
+                       int& dir) {
+  metrics.sweep_pull_rounds += t.sum.pull_rounds;
+  metrics.sweep_edges_pushed += t.sum.pushed;
+  metrics.sweep_edges_pulled += t.sum.pulled;
+  metrics.sweep_staging_avoided_bytes += t.sum.staging_avoided_bytes;
+  dir = SweepTally::join_vote(dir, t.vote);
 }
 
 /// Write handle a chunk worker stages its deposits through: (target, msg)
@@ -497,25 +546,7 @@ SweepCounters sweep_chunked(const P& prog, const partition::Part& part,
   }
   s.frontier.clear();  // fully consumed; deposits below re-arm it
 
-  // Resolve the direction. The adaptive rule is the sweep-cost crossover:
-  // push pays a staged write plus a merge read per frontier out-edge
-  // (2 * frontier_edges), pull pays one scan of every local in-edge
-  // (num_local_edges). Deterministic — both inputs are exact counters.
-  // Parts without the CSC mirror (hand-assembled fixtures) always push, as
-  // does the empty sweep (nothing to do either way).
-  const bool has_mirror =
-      part.in_offsets.size() == static_cast<std::size_t>(n) + 1;
-  SweepDirection d = dir;
-  if (d == SweepDirection::kAdaptive) {
-    std::uint64_t frontier_edges = 0;
-    for (const lvid_t v : sc.snapshot) {
-      frontier_edges += part.offsets[v + 1] - part.offsets[v];
-    }
-    d = 2 * frontier_edges >= part.num_local_edges() ? SweepDirection::kPull
-                                                     : SweepDirection::kPush;
-  }
-
-  if (d == SweepDirection::kPull && has_mirror && !sc.snapshot.empty()) {
+  if (sweep_pulls(part, sc.snapshot, dir)) {
     // Stage 1 (parallel over edge-balanced item chunks): apply each
     // snapshot vertex and park its scatter payload in the slab arena's
     // payload slot for the fold to read.

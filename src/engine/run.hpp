@@ -1,11 +1,11 @@
-// The engine front door: one RunConfig carrying the engine kind, the
-// per-engine knobs, and an optional Tracer, dispatched through
-// engine::run(). Replaces the four parallel option structs callers used to
-// assemble by hand.
+// The engine front door: engine::run() is the only place that constructs an
+// engine. It takes one RunConfig (engine/run_config.hpp) carrying the engine
+// kind, every engine's knobs and an optional Tracer, plus an optional
+// coherency inspector.
 #pragma once
 
-#include <stdexcept>
-#include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "engine/async_engine.hpp"
@@ -15,94 +15,34 @@
 
 namespace lazygraph::engine {
 
-enum class EngineKind { kSync, kAsync, kLazyBlock, kLazyVertex };
-
-inline const char* to_string(EngineKind k) {
-  switch (k) {
-    case EngineKind::kSync: return "powergraph-sync";
-    case EngineKind::kAsync: return "powergraph-async";
-    case EngineKind::kLazyBlock: return "lazygraph-block";
-    case EngineKind::kLazyVertex: return "lazygraph-vertex";
-  }
-  return "?";
-}
-
-/// Inverse of to_string(EngineKind). Also accepts the CLI short aliases
-/// ("sync", "async", "lazy-block", "lazy-vertex"); throws
-/// std::invalid_argument on anything else.
-inline EngineKind engine_kind_from_string(const std::string& s) {
-  for (EngineKind k : {EngineKind::kSync, EngineKind::kAsync,
-                       EngineKind::kLazyBlock, EngineKind::kLazyVertex}) {
-    if (s == to_string(k)) return k;
-  }
-  if (s == "sync") return EngineKind::kSync;
-  if (s == "async") return EngineKind::kAsync;
-  if (s == "lazy-block") return EngineKind::kLazyBlock;
-  if (s == "lazy-vertex") return EngineKind::kLazyVertex;
-  throw std::invalid_argument("unknown engine: " + s);
-}
-
-/// Everything one engine run needs beyond the graph, program and cluster.
-/// Common fields are hoisted; engine-specific knobs apply only to the kind
-/// that reads them and are harmless otherwise.
-struct RunConfig {
-  EngineKind kind = EngineKind::kLazyBlock;
-
-  // --- common ---
-  /// Bound on outer iterations: supersteps (sync/lazy-block), Gauss-Seidel
-  /// rounds (async), queue cycles (lazy-vertex).
-  std::uint64_t max_supersteps = 1'000'000;
-  /// E/V ratio of the user-view graph feeding the adaptive interval model;
-  /// <= 0 derives it from the DistributedGraph's user view.
-  double graph_ev_ratio = 0.0;
-  /// Optional span/snapshot recorder, attached to the cluster for the run.
-  sim::Tracer* tracer = nullptr;
-  /// Intra-machine thread budget for the engines' local sweeps (sync and
-  /// lazy-block). Purely an execution knob for sync; for lazy-block, values
-  /// > 1 also switch Stage 1 to snapshot sub-sweeps (an algorithm knob) —
-  /// either way results are bit-deterministic for a fixed value.
-  std::uint32_t threads_per_machine = 1;
-  /// Direction policy for the chunk-parallel local sweeps (sync scatter and
-  /// lazy-block Stage 1 / coherency sweeps): push staging, CSC pull, or the
-  /// adaptive frontier-density rule. The serial Gauss-Seidel engines (async,
-  /// lazy-vertex) are push by definition and ignore it.
-  SweepDirection sweep = SweepDirection::kAdaptive;
-
-  // --- lazy-block ---
-  IntervalModelConfig interval = {};
-  CommModePolicy comm_policy = CommModePolicy::kAdaptive;
-
-  // --- lazy-vertex ---
-  /// Local applies a spanning replica may perform between coherency events.
-  std::uint32_t staleness = 4;
-
-  // --- pipeline-stage injection (plan layer; see src/plan/) ---
-  /// Global ids (ascending) restricting the engines' init-message placement
-  /// scan to this worklist. Results are bit-identical to a full scan whenever
-  /// the list covers every vertex the program would initialize — the pipeline
-  /// lowerer always passes the downstream stage's full scope, so this is
-  /// purely a sweep_scanned optimization. Not owned; may be null.
-  const std::vector<vid_t>* initial_frontier = nullptr;
-  /// Type-erased `const std::vector<typename P::VData>*` (indexed by global
-  /// id) seeding every replica's vdata instead of prog.init_data — the
-  /// carried-state warm start of pipeline refinement stages. Not owned.
-  const void* initial_state = nullptr;
-};
-
 /// Runs `prog` over `dg` on `cluster` with the engine cfg.kind selects.
 /// All engines return the same RunResult field set; when cfg.tracer is set
 /// it is attached for the duration of the run (restoring any tracer the
 /// cluster already had) and handed back via RunResult::trace.
+///
+/// `inspect`, when set, observes the replica states at every point where the
+/// engine's protocol guarantees all replicas of a vertex hold an identical
+/// global view:
+///   - sync: the end of every superstep (the eager broadcast has replicated
+///     every applied vertex);
+///   - async: the end of every Gauss-Seidel round (each update is pushed to
+///     all mirrors within the update itself);
+///   - lazy-block: after every coherency point's apply+scatter sweep and at
+///     the terminal quiescent exchange — exactly for semilattice Sums, up to
+///     floating-point association for additive ones (paper §3.2);
+///   - lazy-vertex: once, at termination (per-vertex coherency events leave
+///     deliveries pending until every queue drains).
+/// Every engine's last call sees the terminal state, so a converged run's
+/// final replica states are whatever the last call received.
 template <VertexProgram P>
 RunResult<P> run(const RunConfig& cfg, const partition::DistributedGraph& dg,
-                 const P& prog, sim::Cluster& cluster) {
+                 const P& prog, sim::Cluster& cluster,
+                 std::type_identity_t<CoherencyInspector<P>> inspect = {}) {
   sim::Tracer* const previous = cluster.tracer();
   if (cfg.tracer) {
     cluster.set_tracer(cfg.tracer);
     cfg.tracer->set_run_info(to_string(cfg.kind));
   }
-  const double ev_ratio =
-      cfg.graph_ev_ratio > 0.0 ? cfg.graph_ev_ratio : dg.user_ev_ratio();
 
   // Lower the global-id injection into per-machine state. The frontier is
   // translated by scanning each machine's replicas in ascending lvid order
@@ -129,28 +69,21 @@ RunResult<P> run(const RunConfig& cfg, const partition::DistributedGraph& dg,
   RunResult<P> result;
   switch (cfg.kind) {
     case EngineKind::kSync:
-      result = SyncEngine<P>(dg, prog, cluster,
-                             {cfg.max_supersteps, cfg.threads_per_machine,
-                              injp, cfg.sweep})
+      result = SyncEngine<P>(dg, prog, cluster, cfg, injp, std::move(inspect))
                    .run();
       break;
     case EngineKind::kAsync:
-      result = AsyncEngine<P>(dg, prog, cluster,
-                              {cfg.max_supersteps, injp, cfg.sweep})
+      result = AsyncEngine<P>(dg, prog, cluster, cfg, injp, std::move(inspect))
                    .run();
       break;
     case EngineKind::kLazyBlock:
-      result = LazyBlockAsyncEngine<P>(
-                   dg, prog, cluster,
-                   {cfg.max_supersteps, cfg.interval, cfg.comm_policy,
-                    cfg.threads_per_machine, injp, cfg.sweep},
-                   ev_ratio)
+      result = LazyBlockAsyncEngine<P>(dg, prog, cluster, cfg, injp,
+                                       std::move(inspect))
                    .run();
       break;
     case EngineKind::kLazyVertex:
-      result = LazyVertexAsyncEngine<P>(
-                   dg, prog, cluster,
-                   {cfg.max_supersteps, cfg.staleness, injp, cfg.sweep})
+      result = LazyVertexAsyncEngine<P>(dg, prog, cluster, cfg, injp,
+                                        std::move(inspect))
                    .run();
       break;
   }

@@ -34,9 +34,9 @@ struct PartState;
 
 /// Observation hook for correctness harnesses: engines invoke it at every
 /// point where the protocol guarantees all replicas of a vertex hold an
-/// identical global view (see each engine's set_coherency_inspector for the
-/// exact points). Receives the superstep counter and the full per-machine
-/// replica state, read-only.
+/// identical global view (see engine::run for each engine's exact points).
+/// Receives the superstep counter and the full per-machine replica state,
+/// read-only.
 template <VertexProgram P>
 using CoherencyInspector = std::function<void(
     std::uint64_t superstep, const std::vector<PartState<P>>& states)>;

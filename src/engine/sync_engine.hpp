@@ -25,30 +25,28 @@
 #include <vector>
 
 #include "engine/local_sweep.hpp"
+#include "engine/run_config.hpp"
 #include "engine/state.hpp"
 #include "recovery/recovery.hpp"
 #include "sim/cluster.hpp"
 
 namespace lazygraph::engine {
 
-struct SyncOptions {
-  std::uint64_t max_supersteps = 1'000'000;
-  /// Intra-machine thread budget for the scatter sweep (results are
-  /// bit-identical across budgets; this is purely an execution knob here).
-  std::uint32_t threads_per_machine = 1;
-  /// Optional pipeline-stage injection (see InitInjection; not owned).
-  const InitInjection* init = nullptr;
-  /// Scatter-sweep direction (results are bit-identical across directions;
-  /// adaptive resolves per machine per superstep).
-  SweepDirection sweep = SweepDirection::kAdaptive;
-};
-
+/// Reads max_supersteps, threads_per_machine (an execution knob here:
+/// results are bit-identical across budgets) and sweep (the scatter
+/// direction, likewise bit-identical) from the RunConfig.
 template <VertexProgram P>
 class SyncEngine {
  public:
   SyncEngine(const partition::DistributedGraph& dg, P prog,
-             sim::Cluster& cluster, SyncOptions opts = {})
-      : dg_(dg), prog_(std::move(prog)), cluster_(cluster), opts_(opts) {
+             sim::Cluster& cluster, const RunConfig& cfg,
+             const InitInjection* init, CoherencyInspector<P> inspect)
+      : dg_(dg),
+        prog_(std::move(prog)),
+        cluster_(cluster),
+        cfg_(cfg),
+        init_(init),
+        inspector_(std::move(inspect)) {
     require(cluster.num_machines() == dg.num_machines(),
             "SyncEngine: cluster/graph machine count mismatch");
     require(dg.parallel_edge_copies() == 0,
@@ -58,10 +56,10 @@ class SyncEngine {
 
   RunResult<P> run() {
     const machine_t p = dg_.num_machines();
-    states_ = make_states(dg_, prog_, opts_.init);
+    states_ = make_states(dg_, prog_, init_);
     cluster_.metrics().sweep_scanned +=
-        init_eager_messages(prog_, dg_, states_, opts_.init);
-    const SweepExec exec{&cluster_, opts_.threads_per_machine};
+        init_eager_messages(prog_, dg_, states_, init_);
+    const SweepExec exec{&cluster_, cfg_.threads_per_machine};
     recovery::Recoverer<P> recoverer(cluster_, dg_);
 
     RunResult<P> result;
@@ -75,8 +73,7 @@ class SyncEngine {
     std::vector<std::vector<lvid_t>> pending(p), scatter_list(p);
     // Per-machine scatter-sweep outcome, folded into metrics/trace serially
     // after the join (cluster metrics are not thread-safe).
-    std::vector<SweepCounters> scatter_counters(p);
-    std::vector<int> sweep_dirs(p, 0);
+    std::vector<SweepTally> scatter_tally(p);
     // Wire-codec size accounting, one stream per machine pair [dest*p+src]:
     // gather ships mirror accumulators to masters, broadcast ships new
     // master vdata (with the scatter payload piggybacked behind a presence
@@ -85,7 +82,7 @@ class SyncEngine {
     std::vector<wire::DeltaSizeCoder> gather_coders(std::size_t{p} * p),
         bcast_coders(std::size_t{p} * p);
 
-    for (std::uint64_t step = 0; step < opts_.max_supersteps; ++step) {
+    for (std::uint64_t step = 0; step < cfg_.max_supersteps; ++step) {
       ++cluster_.metrics().supersteps;
       ++result.supersteps;
 
@@ -227,25 +224,10 @@ class SyncEngine {
         auto& list = scatter_list[m];
         std::sort(list.begin(), list.end());  // ascending = old scan order
         // Direction: the eager broadcast already parked every payload in the
-        // slab, so the pull fold reads straight from the payload slots; the
-        // adaptive rule is the sweep-cost crossover (a staged write plus a
-        // merge read per frontier out-edge vs one scan of every local
-        // in-edge). Either way the folded bits are identical (DESIGN §5k).
-        const bool has_mirror =
-            part.in_offsets.size() ==
-            static_cast<std::size_t>(part.num_local()) + 1;
-        SweepDirection d = opts_.sweep;
-        if (d == SweepDirection::kAdaptive) {
-          std::uint64_t frontier_edges = 0;
-          for (const lvid_t v : list) {
-            frontier_edges += part.offsets[v + 1] - part.offsets[v];
-          }
-          d = 2 * frontier_edges >= part.num_local_edges()
-                  ? SweepDirection::kPull
-                  : SweepDirection::kPush;
-        }
+        // slab, so the pull fold reads straight from the payload slots.
+        // Either way the folded bits are identical (DESIGN §5k).
         SweepCounters c;
-        if (d == SweepDirection::kPull && has_mirror && !list.empty()) {
+        if (sweep_pulls(part, list, cfg_.sweep)) {
           c = pull_deposit_pass<false>(prog_, part, s, exec);
           for (const lvid_t v : list) s.has_payload[v] = 0;
         } else {
@@ -265,21 +247,14 @@ class SyncEngine {
                 }
               });
         }
-        sweep_dirs[m] = c.pull_rounds > 0 ? 1 : 0;
-        scatter_counters[m] = c;
+        // A machine with nothing to scatter ran no sweep: no vote.
+        scatter_tally[m] = {};
+        scatter_tally[m].add(c, /*votes=*/!list.empty());
         work[m] = applies[m] + c.work;
       });
       int dir_agg = -1;
-      for (machine_t m = 0; m < p; ++m) {
-        const SweepCounters& c = scatter_counters[m];
-        cluster_.metrics().sweep_pull_rounds += c.pull_rounds;
-        cluster_.metrics().sweep_edges_pushed += c.pushed;
-        cluster_.metrics().sweep_edges_pulled += c.pulled;
-        cluster_.metrics().sweep_staging_avoided_bytes +=
-            c.staging_avoided_bytes;
-        if (scatter_list[m].empty()) continue;  // no sweep ran: no vote
-        dir_agg = (dir_agg == -1 || dir_agg == sweep_dirs[m]) ? sweep_dirs[m]
-                                                              : 2;
+      for (const SweepTally& t : scatter_tally) {
+        fold_sweep(cluster_.metrics(), t, dir_agg);
       }
       cluster_.charge_compute(sim::SpanKind::kEagerScatter, work);
       cluster_.charge_barrier();  // sync #3
@@ -306,20 +281,12 @@ class SyncEngine {
     return result;
   }
 
-  const std::vector<PartState<P>>& states() const { return states_; }
-
-  /// Invoked at the end of every superstep: the eager broadcast has already
-  /// replicated every applied vertex to all its mirrors, so replicas of every
-  /// vertex hold identical vdata here.
-  void set_coherency_inspector(CoherencyInspector<P> inspector) {
-    inspector_ = std::move(inspector);
-  }
-
  private:
   const partition::DistributedGraph& dg_;
   P prog_;
   sim::Cluster& cluster_;
-  SyncOptions opts_;
+  RunConfig cfg_;
+  const InitInjection* init_;
   std::vector<PartState<P>> states_;
   CoherencyInspector<P> inspector_;
 };

@@ -68,7 +68,8 @@ struct StageSpec {
   /// Per-stage engine preference ("" = use the lowering default). Stored as
   /// the spelled name so this header stays independent of the engine stack;
   /// validated at parse/lower time via engine::engine_kind_from_string.
-  std::string engine;
+  /// (The `= {}` lets designated initializers omit it warning-free.)
+  std::string engine = {};
 
   bool operator==(const StageSpec&) const = default;
 

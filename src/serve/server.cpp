@@ -21,34 +21,6 @@ double field_percentile(const std::vector<QueryRecord>& records, double p,
   return percentile(std::move(v), p);
 }
 
-void accumulate(sim::SimMetrics& a, const sim::SimMetrics& b) {
-  a.global_syncs += b.global_syncs;
-  a.network_messages += b.network_messages;
-  a.network_bytes += b.network_bytes;
-  a.supersteps += b.supersteps;
-  a.local_subiterations += b.local_subiterations;
-  a.applies += b.applies;
-  a.edge_traversals += b.edge_traversals;
-  a.a2a_exchanges += b.a2a_exchanges;
-  a.m2m_exchanges += b.m2m_exchanges;
-  a.vertex_coherency_events += b.vertex_coherency_events;
-  a.sweep_scanned += b.sweep_scanned;
-  a.sweep_pull_rounds += b.sweep_pull_rounds;
-  a.sweep_edges_pushed += b.sweep_edges_pushed;
-  a.sweep_edges_pulled += b.sweep_edges_pulled;
-  a.sweep_staging_avoided_bytes += b.sweep_staging_avoided_bytes;
-  a.recoveries += b.recoveries;
-  a.guard_bytes += b.guard_bytes;
-  a.recovery_bytes += b.recovery_bytes;
-  a.compute_seconds += b.compute_seconds;
-  a.comm_seconds += b.comm_seconds;
-  a.barrier_seconds += b.barrier_seconds;
-  a.overhead_seconds += b.overhead_seconds;
-  a.setup_seconds += b.setup_seconds;
-  a.setup_cache_hits += b.setup_cache_hits;
-  a.setup_cache_misses += b.setup_cache_misses;
-}
-
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -75,7 +47,7 @@ void run_family_batch(const partition::DistributedGraph& dg,
   const BatchOutcome<P> out = run_batched(dg, progs, opts.run, cluster);
   *wall = seconds_since(t0);
   *service = out.metrics.sim_seconds();
-  accumulate(rep.metrics, out.metrics);
+  rep.metrics += out.metrics;
 
   for (std::size_t j = 0; j < batch.size(); ++j) {
     const Query& q = queries[batch[j]];
@@ -102,7 +74,7 @@ void run_family_batch(const partition::DistributedGraph& dg,
     if (opts.verify_solo) {
       sim::Cluster solo_cluster(
           {dg.num_machines(), {}, opts.cluster_threads});
-      BatchRunOptions solo_run = opts.run;
+      engine::RunConfig solo_run = opts.run;
       solo_run.tracer = nullptr;  // the solo shadow run is not part of the
                                   // served timeline
       const auto solo = run_solo(dg, progs[j], solo_run, solo_cluster);

@@ -37,7 +37,7 @@ struct BatchPolicy {
 };
 
 struct ServeOptions {
-  BatchRunOptions run = {};
+  engine::RunConfig run = {};
   BatchPolicy policy = {};
   /// Worker threads of the per-batch sim::Cluster (0 = hardware).
   std::size_t cluster_threads = 1;

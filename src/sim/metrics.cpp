@@ -1,8 +1,41 @@
 #include "sim/metrics.hpp"
 
+#include <algorithm>
 #include <iomanip>
 
 namespace lazygraph::sim {
+
+SimMetrics& SimMetrics::operator+=(const SimMetrics& o) {
+  global_syncs += o.global_syncs;
+  network_messages += o.network_messages;
+  network_bytes += o.network_bytes;
+  supersteps += o.supersteps;
+  local_subiterations += o.local_subiterations;
+  applies += o.applies;
+  edge_traversals += o.edge_traversals;
+  a2a_exchanges += o.a2a_exchanges;
+  m2m_exchanges += o.m2m_exchanges;
+  vertex_coherency_events += o.vertex_coherency_events;
+  sweep_scanned += o.sweep_scanned;
+  sweep_pull_rounds += o.sweep_pull_rounds;
+  sweep_edges_pushed += o.sweep_edges_pushed;
+  sweep_edges_pulled += o.sweep_edges_pulled;
+  sweep_staging_avoided_bytes += o.sweep_staging_avoided_bytes;
+  exchange_bytes_raw += o.exchange_bytes_raw;
+  exchange_bytes_wire += o.exchange_bytes_wire;
+  state_bytes = std::max(state_bytes, o.state_bytes);
+  recoveries += o.recoveries;
+  guard_bytes += o.guard_bytes;
+  recovery_bytes += o.recovery_bytes;
+  compute_seconds += o.compute_seconds;
+  comm_seconds += o.comm_seconds;
+  barrier_seconds += o.barrier_seconds;
+  overhead_seconds += o.overhead_seconds;
+  setup_seconds += o.setup_seconds;
+  setup_cache_hits += o.setup_cache_hits;
+  setup_cache_misses += o.setup_cache_misses;
+  return *this;
+}
 
 void SimMetrics::print(std::ostream& os, const std::string& label) const {
   os << std::fixed << std::setprecision(4);

@@ -75,6 +75,11 @@ struct SimMetrics {
     return static_cast<double>(network_bytes) / (1024.0 * 1024.0);
   }
 
+  /// Sums another run's metrics into this one (e.g. a server's batch runs):
+  /// every counted and modeled field adds, except the peak state_bytes,
+  /// which takes the max.
+  SimMetrics& operator+=(const SimMetrics& o);
+
   void print(std::ostream& os, const std::string& label) const;
 };
 

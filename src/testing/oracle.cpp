@@ -6,6 +6,7 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "algos/bfs.hpp"
@@ -47,6 +48,20 @@ std::string num(double v) {
   return os.str();
 }
 
+/// The engine configuration a scenario runs `kind` with.
+engine::RunConfig run_config(EngineKind kind, const Scenario& s,
+                             const OracleOptions& o) {
+  engine::RunConfig cfg;
+  cfg.kind = kind;
+  cfg.max_supersteps = o.max_supersteps;
+  cfg.threads_per_machine = s.threads_per_machine;
+  cfg.sweep = s.sweep;
+  cfg.interval.policy = s.interval_policy;
+  cfg.comm_policy = s.comm_policy;
+  cfg.staleness = s.staleness;
+  return cfg;
+}
+
 /// Everything one engine run produced that the invariant checks consume.
 template <class P>
 struct RunOutput {
@@ -73,14 +88,26 @@ RunOutput<P> run_one(EngineKind kind, const partition::DistributedGraph& dg,
     out.tracer.set_run_info(engine::to_string(kind), to_string(s.program));
   }
 
+  // Parallel-edges graphs deliver split-edge scatters eagerly through
+  // per-machine edge copies, and the source replicas emit differently
+  // grouped payload sequences — so lazy-block's intermediate views
+  // legitimately differ and identical views are only promised at
+  // termination: there only the latest call's verdict counts, and only for
+  // a converged run (whose latest call saw the terminal state). Everywhere
+  // else the first divergence sticks.
+  const bool terminal_only = kind == EngineKind::kLazyBlock &&
+                             dg.parallel_edge_copies() > 0;
+  std::optional<std::string> verdict;
   // Eager engines replicate vdata by assignment (broadcast), so replicas
   // must be bitwise identical; the lazy engines re-derive each replica's
   // view from the same delta multiset, so floating-point programs compare
   // with the program's association tolerance.
   auto make_inspector = [&](auto eq) -> engine::CoherencyInspector<P> {
-    return [&dg, &out, eq](std::uint64_t superstep,
-                           const std::vector<engine::PartState<P>>& states) {
-      if (out.coherency_failure) return;
+    return [&dg, &verdict, terminal_only, eq](
+               std::uint64_t superstep,
+               const std::vector<engine::PartState<P>>& states) {
+      if (verdict && !terminal_only) return;
+      verdict.reset();
       for (machine_t m = 0; m < dg.num_machines(); ++m) {
         const partition::Part& part = dg.part(m);
         for (lvid_t v = 0; v < part.num_local(); ++v) {
@@ -91,61 +118,22 @@ RunOutput<P> run_one(EngineKind kind, const partition::DistributedGraph& dg,
             os << "replicas of vertex " << part.gids[v]
                << " diverge between machines " << m << " and " << r
                << " at coherency point of superstep " << superstep;
-            out.coherency_failure = os.str();
+            verdict = os.str();
             return;
           }
         }
       }
     };
   };
-  switch (kind) {
-    case EngineKind::kSync: {
-      engine::SyncOptions so;
-      so.max_supersteps = o.max_supersteps;
-      so.threads_per_machine = s.threads_per_machine;
-      so.sweep = s.sweep;
-      engine::SyncEngine<P> e(dg, prog, cluster, so);
-      if (with_inspector) e.set_coherency_inspector(make_inspector(eager_eq));
-      out.result = e.run();
-      break;
-    }
-    case EngineKind::kAsync: {
-      engine::AsyncEngine<P> e(dg, prog, cluster, {o.max_supersteps});
-      if (with_inspector) e.set_coherency_inspector(make_inspector(eager_eq));
-      out.result = e.run();
-      break;
-    }
-    case EngineKind::kLazyBlock: {
-      engine::LazyOptions lo;
-      lo.max_supersteps = o.max_supersteps;
-      lo.interval.policy = s.interval_policy;
-      lo.comm_policy = s.comm_policy;
-      lo.threads_per_machine = s.threads_per_machine;
-      lo.sweep = s.sweep;
-      engine::LazyBlockAsyncEngine<P> e(dg, prog, cluster, lo,
-                                        dg.user_ev_ratio());
-      // Parallel-edges graphs deliver split-edge scatters eagerly through
-      // per-machine edge copies, and the source replicas emit differently
-      // grouped payload sequences — so intermediate views legitimately
-      // differ and identical views are only promised at termination.
-      const bool split = dg.parallel_edge_copies() > 0;
-      const auto inspect = make_inspector(lazy_replica_eq);
-      if (with_inspector && !split) e.set_coherency_inspector(inspect);
-      out.result = e.run();
-      if (with_inspector && split && out.result.converged) {
-        inspect(out.result.supersteps, e.states());
-      }
-      break;
-    }
-    case EngineKind::kLazyVertex: {
-      engine::LazyVertexAsyncEngine<P> e(dg, prog, cluster,
-                                         {o.max_supersteps, s.staleness});
-      if (with_inspector) {
-        e.set_coherency_inspector(make_inspector(lazy_replica_eq));
-      }
-      out.result = e.run();
-      break;
-    }
+  engine::CoherencyInspector<P> inspect;
+  if (with_inspector) {
+    inspect = is_lazy(kind) ? make_inspector(lazy_replica_eq)
+                            : make_inspector(eager_eq);
+  }
+  out.result = engine::run(run_config(kind, s, o), dg, prog, cluster,
+                           std::move(inspect));
+  if (!terminal_only || out.result.converged) {
+    out.coherency_failure = verdict;
   }
   out.sim_seconds = cluster.metrics().sim_seconds();
   return out;
@@ -649,20 +637,13 @@ std::optional<std::string> run_batch_program(const Scenario& s,
   for (const EngineKind kind : kBatchEngines) {
     const auto& dg =
         is_lazy(kind) && dg_split_p ? *dg_split_p : *dg_plain_p;
-    serve::BatchRunOptions bo;
-    bo.kind = kind;
-    bo.max_supersteps = o.max_supersteps;
-    bo.threads_per_machine = s.threads_per_machine;
-    bo.interval.policy = s.interval_policy;
-    bo.comm_policy = s.comm_policy;
-    bo.staleness = s.staleness;
-    bo.sweep = s.sweep;
+    const engine::RunConfig cfg = run_config(kind, s, o);
     const std::string tag =
         std::string(engine::to_string(kind)) + " (batch): ";
 
     auto run_batch = [&](std::size_t threads) {
       sim::Cluster cluster({s.machines, {}, threads});
-      return serve::run_batched(dg, progs, bo, cluster);
+      return serve::run_batched(dg, progs, cfg, cluster);
     };
     const auto batched = run_batch(1);
     if (!batched.converged) {
@@ -673,7 +654,7 @@ std::optional<std::string> run_batch_program(const Scenario& s,
     const bool check_points = serve::points_must_match(kind);
     for (std::size_t i = 0; i < progs.size(); ++i) {
       sim::Cluster solo_cluster({s.machines, {}, 1});
-      const auto solo = serve::run_solo(dg, progs[i], bo, solo_cluster);
+      const auto solo = serve::run_solo(dg, progs[i], cfg, solo_cluster);
       if (!solo.converged) {
         return tag + "solo run of lane " + std::to_string(i) +
                " did not converge";

@@ -5,8 +5,8 @@
 //   1. every engine converges and matches the single-machine reference
 //      fixed point (exactly for the semilattice / integer programs, within a
 //      threshold-derived bound for PageRank and diffusion);
-//   2. at every coherency point the engine reports (via the
-//      set_coherency_inspector hooks), all replicas of every vertex hold the
+//   2. at every coherency point the engine reports (via engine::run's
+//      coherency inspector), all replicas of every vertex hold the
 //      identical global view — on parallel-edges (split) graphs, whose
 //      edge-copy deliveries are eager per machine, only at termination;
 //   3. the trace accounts for the run: span durations tile the timeline and

@@ -1,9 +1,12 @@
 // Minimal command-line option parser for examples and bench drivers.
 // Supports --key=value and --flag forms; anything else is a positional arg.
+// A bare --flag is present with no value: get/get_int/get_double return
+// their default for it, get_bool returns true.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,7 +25,7 @@ class Options {
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:
-  std::map<std::string, std::string> kv_;
+  std::map<std::string, std::optional<std::string>> kv_;
   std::vector<std::string> positional_;
 };
 

@@ -57,20 +57,22 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace lazygraph {
 namespace {
 
-/// Samples g_allocs at each coherency point and returns the per-superstep
-/// deltas. The sample vector is pre-reserved so the probe itself never
-/// allocates inside the run.
-template <class Engine>
-std::vector<std::uint64_t> alloc_deltas(Engine& eng, std::size_t max_steps) {
+/// Runs `prog` and samples g_allocs at each coherency point, returning the
+/// per-superstep deltas. The sample vector is pre-reserved so the probe
+/// itself never allocates inside the run.
+template <class P>
+std::vector<std::uint64_t> alloc_deltas(const engine::RunConfig& cfg,
+                                        const partition::DistributedGraph& dg,
+                                        const P& prog, sim::Cluster& cluster,
+                                        std::size_t max_steps) {
   std::vector<std::uint64_t> samples;
   samples.reserve(max_steps);
-  eng.set_coherency_inspector(
-      [&](std::uint64_t, const auto&) {
+  const auto r = engine::run(
+      cfg, dg, prog, cluster, [&](std::uint64_t, const auto&) {
         if (samples.size() < samples.capacity()) {
           samples.push_back(g_allocs.load(std::memory_order_relaxed));
         }
       });
-  const auto r = eng.run();
   EXPECT_TRUE(r.converged);
   std::vector<std::uint64_t> deltas;
   for (std::size_t i = 1; i < samples.size(); ++i) {
@@ -96,12 +98,13 @@ TEST(AllocProbe, SyncEngineSteadyStateAllocatesNothing) {
   // Forced push: the adaptive direction switch would warm the pull path's
   // buffers whenever it first flips mid-run; each direction gets its own
   // pinned probe instead.
-  engine::SyncEngine<algos::PageRankDelta> eng(
-      dg, algos::PageRankDelta{.tol = 1e-3}, cluster,
-      {.sweep = engine::SweepDirection::kPush});
   // Warmup 3: worklists and chunk buckets hit their high-water marks while
   // the frontier is still near-full.
-  expect_steady_state_alloc_free(alloc_deltas(eng, 256), 3);
+  expect_steady_state_alloc_free(
+      alloc_deltas({.kind = engine::EngineKind::kSync,
+                    .sweep = engine::SweepDirection::kPush},
+                   dg, algos::PageRankDelta{.tol = 1e-3}, cluster, 256),
+      3);
 }
 
 TEST(AllocProbe, LazyBlockEngineSteadyStateAllocatesNothing) {
@@ -111,10 +114,11 @@ TEST(AllocProbe, LazyBlockEngineSteadyStateAllocatesNothing) {
       testsupport::build_dgraph(g, 4, partition::CutKind::kCoordinated, 7,
                                 /*split=*/true);
   auto cluster = testsupport::make_cluster(4);
-  engine::LazyBlockAsyncEngine<algos::PageRankDelta> eng(
-      dg, algos::PageRankDelta{.tol = 1e-3}, cluster,
-      {.sweep = engine::SweepDirection::kPush}, g.edge_vertex_ratio());
-  expect_steady_state_alloc_free(alloc_deltas(eng, 256), 3);
+  expect_steady_state_alloc_free(
+      alloc_deltas({.kind = engine::EngineKind::kLazyBlock,
+                    .sweep = engine::SweepDirection::kPush},
+                   dg, algos::PageRankDelta{.tol = 1e-3}, cluster, 256),
+      3);
 }
 
 // The pull direction must be just as allocation-free once its payload slots
@@ -127,10 +131,11 @@ TEST(AllocProbe, LazyBlockForcedPullSteadyStateAllocatesNothing) {
       testsupport::build_dgraph(g, 4, partition::CutKind::kCoordinated, 7,
                                 /*split=*/true);
   auto cluster = testsupport::make_cluster(4);
-  engine::LazyBlockAsyncEngine<algos::PageRankDelta> eng(
-      dg, algos::PageRankDelta{.tol = 1e-3}, cluster,
-      {.sweep = engine::SweepDirection::kPull}, g.edge_vertex_ratio());
-  expect_steady_state_alloc_free(alloc_deltas(eng, 256), 3);
+  expect_steady_state_alloc_free(
+      alloc_deltas({.kind = engine::EngineKind::kLazyBlock,
+                    .sweep = engine::SweepDirection::kPull},
+                   dg, algos::PageRankDelta{.tol = 1e-3}, cluster, 256),
+      3);
 }
 
 }  // namespace

@@ -201,6 +201,37 @@ TEST(DGraph, SplitEdgesCreateSourceReplicas) {
   }
 }
 
+// The lazy-block interval model reads its E/V ratio from the distributed
+// graph's user view; it must equal the input graph's own ratio bit for bit,
+// with or without parallel-edge copies.
+TEST(DGraph, UserEvRatioEqualsGraphRatio) {
+  const Graph graphs[] = {gen::rmat(9, 8, 0.57, 0.19, 0.19, 3),
+                          gen::erdos_renyi(300, 1500, 5, {1.0f, 9.0f}),
+                          gen::road_lattice(20, 20, 0.3, 5, {1.0f, 7.0f})};
+  int builds_with_copies = 0;
+  for (const Graph& g : graphs) {
+    for (const CutKind kind : {CutKind::kCoordinated, CutKind::kRandom,
+                               CutKind::kHybrid}) {
+      for (const bool split : {false, true}) {
+        const machine_t p = 16;
+        std::vector<std::uint64_t> split_edges;
+        if (split) {
+          EdgeSplitterOptions opts;
+          opts.t_extra = 0.001;
+          split_edges = select_split_edges(g, p, opts);
+        }
+        const auto dg = DistributedGraph::build(
+            g, p, assign_edges(g, p, {kind, 7}), split_edges);
+        EXPECT_EQ(dg.user_ev_ratio(), g.edge_vertex_ratio())
+            << "cut " << static_cast<int>(kind) << " split " << split
+            << " copies " << dg.parallel_edge_copies();
+        builds_with_copies += dg.parallel_edge_copies() > 0;
+      }
+    }
+  }
+  EXPECT_GT(builds_with_copies, 0);
+}
+
 TEST(DGraph, RejectsBadInputs) {
   const Graph g = gen::erdos_renyi(10, 20, 1);
   Assignment a = assign_edges(g, 4, {});

@@ -8,28 +8,18 @@ namespace {
 using testsupport::build_dgraph;
 using testsupport::make_cluster;
 
-struct LazyParams {
-  engine::LazyOptions lazy;
-  double graph_ev_ratio = 0.0;
-};
-
-LazyParams lazy_opts(const Graph& g,
-                     engine::IntervalPolicy policy =
-                         engine::IntervalPolicy::kAdaptive) {
-  LazyParams o;
-  o.graph_ev_ratio = g.edge_vertex_ratio();
-  o.lazy.interval.policy = policy;
-  return o;
+engine::RunConfig lazy_opts(
+    engine::IntervalPolicy policy = engine::IntervalPolicy::kAdaptive) {
+  return {.kind = engine::EngineKind::kLazyBlock,
+          .interval = {.policy = policy}};
 }
 
 TEST(LazyBlockEngine, OneSyncPerSuperstep) {
   const Graph g = gen::erdos_renyi(200, 1000, 3, {1.0f, 5.0f});
   const auto dg = build_dgraph(g, 4);
   auto cl = make_cluster(4);
-  const auto opts = lazy_opts(g);
-  const auto r = engine::LazyBlockAsyncEngine(dg, algos::SSSP{.source = 0}, cl,
-                                              opts.lazy, opts.graph_ev_ratio)
-                     .run();
+  const auto opts = lazy_opts();
+  const auto r = engine::run(opts, dg, algos::SSSP{.source = 0}, cl);
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(cl.metrics().global_syncs, r.supersteps);
 }
@@ -38,37 +28,35 @@ TEST(LazyBlockEngine, ReplicasCoherentAtTermination) {
   const Graph g = gen::rmat(9, 6, 0.55, 0.2, 0.2, 5, {1.0f, 9.0f});
   const auto dg = build_dgraph(g, 8);
   auto cl = make_cluster(8);
-  const auto opts = lazy_opts(g);
-  engine::LazyBlockAsyncEngine eng(dg, algos::SSSP{.source = 0}, cl, opts.lazy,
-                                   opts.graph_ev_ratio);
-  const auto r = eng.run();
-  ASSERT_TRUE(r.converged);
+  const auto opts = lazy_opts();
+  const auto run = testsupport::run_keeping_states(
+      opts, dg, algos::SSSP{.source = 0}, cl);
+  ASSERT_TRUE(run.result.converged);
   // The paper's correctness claim (Section 3.5): once quiescent, all
   // replicas of a vertex share the same global view.
   testsupport::expect_replicas_coherent(
-      dg, eng.states(),
+      dg, run.states,
       [](const algos::SSSP::VData& a, const algos::SSSP::VData& b) {
         return a.dist == b.dist;
       });
-  testsupport::expect_sssp_exact(g, 0, r.data);
+  testsupport::expect_sssp_exact(g, 0, run.result.data);
 }
 
 TEST(LazyBlockEngine, PagerankReplicasConvergeToSameRanks) {
   const Graph g = gen::erdos_renyi(150, 900, 7);
   const auto dg = build_dgraph(g, 6);
   auto cl = make_cluster(6);
-  const auto opts = lazy_opts(g);
+  const auto opts = lazy_opts();
   const algos::PageRankDelta pr{.tol = 1e-4};
-  engine::LazyBlockAsyncEngine eng(dg, pr, cl, opts.lazy, opts.graph_ev_ratio);
-  const auto r = eng.run();
-  ASSERT_TRUE(r.converged);
+  const auto run = testsupport::run_keeping_states(opts, dg, pr, cl);
+  ASSERT_TRUE(run.result.converged);
   testsupport::expect_replicas_coherent(
-      dg, eng.states(),
+      dg, run.states,
       [](const algos::PageRankDelta::VData& a,
          const algos::PageRankDelta::VData& b) {
         return std::abs(a.rank - b.rank) < 1e-9;
       });
-  testsupport::expect_pagerank_close(g, r.data, 1e-4);
+  testsupport::expect_pagerank_close(g, run.result.data, 1e-4);
 }
 
 // Every interval policy must preserve correctness on every algorithm family.
@@ -79,10 +67,8 @@ TEST_P(LazyPolicyCorrectness, Sssp) {
   const Graph g = gen::road_lattice(18, 18, 0.3, 5, {1.0f, 7.0f});
   const auto dg = build_dgraph(g, 8);
   auto cl = make_cluster(8);
-  const auto opts = lazy_opts(g, GetParam());
-  const auto r = engine::LazyBlockAsyncEngine(dg, algos::SSSP{.source = 3}, cl,
-                                              opts.lazy, opts.graph_ev_ratio)
-                     .run();
+  const auto opts = lazy_opts(GetParam());
+  const auto r = engine::run(opts, dg, algos::SSSP{.source = 3}, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_sssp_exact(g, 3, r.data);
 }
@@ -91,11 +77,8 @@ TEST_P(LazyPolicyCorrectness, Cc) {
   const Graph g = gen::erdos_renyi(400, 700, 9).symmetrized();
   const auto dg = build_dgraph(g, 8);
   auto cl = make_cluster(8);
-  const auto opts = lazy_opts(g, GetParam());
-  const auto r = engine::LazyBlockAsyncEngine(dg, algos::ConnectedComponents{},
-                                              cl, opts.lazy,
-                                              opts.graph_ev_ratio)
-                     .run();
+  const auto opts = lazy_opts(GetParam());
+  const auto r = engine::run(opts, dg, algos::ConnectedComponents{}, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_cc_exact(g, r.data);
 }
@@ -104,10 +87,8 @@ TEST_P(LazyPolicyCorrectness, Kcore) {
   const Graph g = gen::rmat(9, 5, 0.5, 0.22, 0.22, 13).symmetrized();
   const auto dg = build_dgraph(g, 8);
   auto cl = make_cluster(8);
-  const auto opts = lazy_opts(g, GetParam());
-  const auto r = engine::LazyBlockAsyncEngine(dg, algos::KCore{.k = 5}, cl,
-                                              opts.lazy, opts.graph_ev_ratio)
-                     .run();
+  const auto opts = lazy_opts(GetParam());
+  const auto r = engine::run(opts, dg, algos::KCore{.k = 5}, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_kcore_exact(g, 5, r.data);
 }
@@ -116,11 +97,9 @@ TEST_P(LazyPolicyCorrectness, Pagerank) {
   const Graph g = gen::erdos_renyi(200, 1600, 17);
   const auto dg = build_dgraph(g, 8);
   auto cl = make_cluster(8);
-  const auto opts = lazy_opts(g, GetParam());
+  const auto opts = lazy_opts(GetParam());
   const algos::PageRankDelta pr{.tol = 1e-4};
-  const auto r = engine::LazyBlockAsyncEngine(dg, pr, cl, opts.lazy,
-                                              opts.graph_ev_ratio)
-                     .run();
+  const auto r = engine::run(opts, dg, pr, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_pagerank_close(g, r.data, 1e-4);
 }
@@ -144,11 +123,9 @@ TEST_P(LazyCommModeCorrectness, KcoreUsesInverseUnderM2m) {
   const Graph g = gen::rmat(9, 5, 0.5, 0.22, 0.22, 19).symmetrized();
   const auto dg = build_dgraph(g, 8);
   auto cl = make_cluster(8);
-  auto opts = lazy_opts(g);
-  opts.lazy.comm_policy = GetParam();
-  const auto r = engine::LazyBlockAsyncEngine(dg, algos::KCore{.k = 4}, cl,
-                                              opts.lazy, opts.graph_ev_ratio)
-                     .run();
+  auto opts = lazy_opts();
+  opts.comm_policy = GetParam();
+  const auto r = engine::run(opts, dg, algos::KCore{.k = 4}, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_kcore_exact(g, 4, r.data);
 }
@@ -157,11 +134,9 @@ TEST_P(LazyCommModeCorrectness, SsspIdempotentUnderBothModes) {
   const Graph g = gen::erdos_renyi(300, 1500, 23, {1.0f, 9.0f});
   const auto dg = build_dgraph(g, 8);
   auto cl = make_cluster(8);
-  auto opts = lazy_opts(g);
-  opts.lazy.comm_policy = GetParam();
-  const auto r = engine::LazyBlockAsyncEngine(dg, algos::SSSP{.source = 1}, cl,
-                                              opts.lazy, opts.graph_ev_ratio)
-                     .run();
+  auto opts = lazy_opts();
+  opts.comm_policy = GetParam();
+  const auto r = engine::run(opts, dg, algos::SSSP{.source = 1}, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_sssp_exact(g, 1, r.data);
 }
@@ -183,17 +158,11 @@ TEST(LazyBlockEngine, ParallelEdgesPreserveResults) {
   const auto dg_split = build_dgraph(g, 8, partition::CutKind::kCoordinated, 7,
                                      /*split=*/true);
   ASSERT_GT(dg_split.parallel_edge_copies(), 0u);
-  const auto opts = lazy_opts(g);
+  const auto opts = lazy_opts();
   auto cl1 = make_cluster(8);
   auto cl2 = make_cluster(8);
-  const auto a = engine::LazyBlockAsyncEngine(dg_plain, algos::SSSP{.source = 0},
-                                              cl1, opts.lazy,
-                                              opts.graph_ev_ratio)
-                     .run();
-  const auto b = engine::LazyBlockAsyncEngine(dg_split, algos::SSSP{.source = 0},
-                                              cl2, opts.lazy,
-                                              opts.graph_ev_ratio)
-                     .run();
+  const auto a = engine::run(opts, dg_plain, algos::SSSP{.source = 0}, cl1);
+  const auto b = engine::run(opts, dg_split, algos::SSSP{.source = 0}, cl2);
   ASSERT_TRUE(a.converged);
   ASSERT_TRUE(b.converged);
   for (vid_t v = 0; v < g.num_vertices(); ++v) {
@@ -208,11 +177,10 @@ TEST(LazyBlockEngine, FarFewerSyncsThanSyncOnRoadSssp) {
   const auto dg = build_dgraph(g, 8);
   auto cl_sync = make_cluster(8);
   auto cl_lazy = make_cluster(8);
-  (void)engine::SyncEngine(dg, algos::SSSP{.source = 0}, cl_sync).run();
-  const auto opts = lazy_opts(g);
-  (void)engine::LazyBlockAsyncEngine(dg, algos::SSSP{.source = 0}, cl_lazy,
-                                     opts.lazy, opts.graph_ev_ratio)
-      .run();
+  (void)engine::run({.kind = engine::EngineKind::kSync}, dg,
+                    algos::SSSP{.source = 0}, cl_sync);
+  const auto opts = lazy_opts();
+  (void)engine::run(opts, dg, algos::SSSP{.source = 0}, cl_lazy);
   EXPECT_LT(cl_lazy.metrics().global_syncs,
             cl_sync.metrics().global_syncs / 4);
 }
@@ -225,11 +193,10 @@ TEST(LazyBlockEngine, LessTrafficThanSyncOnPagerank) {
   const auto dg = build_dgraph(g, 16);
   auto cl_sync = make_cluster(16);
   auto cl_lazy = make_cluster(16);
-  (void)engine::SyncEngine(dg, algos::PageRankDelta{}, cl_sync).run();
-  const auto opts = lazy_opts(g);
-  (void)engine::LazyBlockAsyncEngine(dg, algos::PageRankDelta{}, cl_lazy,
-                                     opts.lazy, opts.graph_ev_ratio)
-      .run();
+  (void)engine::run({.kind = engine::EngineKind::kSync}, dg,
+                    algos::PageRankDelta{}, cl_sync);
+  const auto opts = lazy_opts();
+  (void)engine::run(opts, dg, algos::PageRankDelta{}, cl_lazy);
   EXPECT_LT(cl_lazy.metrics().global_syncs, cl_sync.metrics().global_syncs);
   EXPECT_LT(cl_lazy.metrics().network_bytes, cl_sync.metrics().network_bytes);
 }
@@ -237,16 +204,12 @@ TEST(LazyBlockEngine, LessTrafficThanSyncOnPagerank) {
 TEST(LazyBlockEngine, DeterministicAcrossRuns) {
   const Graph g = gen::rmat(8, 6, 0.55, 0.2, 0.2, 29, {1.0f, 5.0f});
   const auto dg = build_dgraph(g, 6);
-  const auto opts = lazy_opts(g);
+  const auto opts = lazy_opts();
   auto cl1 = make_cluster(6);
   auto cl2 = make_cluster(6);
   const algos::PageRankDelta pr{.tol = 1e-4};
-  const auto a =
-      engine::LazyBlockAsyncEngine(dg, pr, cl1, opts.lazy, opts.graph_ev_ratio)
-          .run();
-  const auto b =
-      engine::LazyBlockAsyncEngine(dg, pr, cl2, opts.lazy, opts.graph_ev_ratio)
-          .run();
+  const auto a = engine::run(opts, dg, pr, cl1);
+  const auto b = engine::run(opts, dg, pr, cl2);
   for (vid_t v = 0; v < g.num_vertices(); ++v) {
     EXPECT_EQ(a.data[v].rank, b.data[v].rank);  // bit-identical
   }
@@ -258,11 +221,9 @@ TEST(LazyBlockEngine, MaxSuperstepsBoundsRun) {
   const Graph g = gen::road_lattice(20, 20, 0.1, 3, {1.0f, 5.0f});
   const auto dg = build_dgraph(g, 4);
   auto cl = make_cluster(4);
-  auto opts = lazy_opts(g);
-  opts.lazy.max_supersteps = 2;
-  const auto r = engine::LazyBlockAsyncEngine(dg, algos::SSSP{.source = 0}, cl,
-                                              opts.lazy, opts.graph_ev_ratio)
-                     .run();
+  auto opts = lazy_opts();
+  opts.max_supersteps = 2;
+  const auto r = engine::run(opts, dg, algos::SSSP{.source = 0}, cl);
   EXPECT_FALSE(r.converged);
 }
 

@@ -8,12 +8,13 @@ namespace {
 using testsupport::build_dgraph;
 using testsupport::make_cluster;
 
+const engine::RunConfig kLazyVertex{.kind = engine::EngineKind::kLazyVertex};
+
 TEST(LazyVertexEngine, BarrierFree) {
   const Graph g = gen::erdos_renyi(200, 1000, 3, {1.0f, 5.0f});
   const auto dg = build_dgraph(g, 4);
   auto cl = make_cluster(4);
-  const auto r =
-      engine::LazyVertexAsyncEngine(dg, algos::SSSP{.source = 0}, cl).run();
+  const auto r = engine::run(kLazyVertex, dg, algos::SSSP{.source = 0}, cl);
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(cl.metrics().global_syncs, 0u);
   EXPECT_GT(cl.metrics().vertex_coherency_events, 0u);
@@ -23,8 +24,7 @@ TEST(LazyVertexEngine, SsspExact) {
   const Graph g = gen::erdos_renyi(300, 1500, 5, {1.0f, 9.0f});
   const auto dg = build_dgraph(g, 6);
   auto cl = make_cluster(6);
-  const auto r =
-      engine::LazyVertexAsyncEngine(dg, algos::SSSP{.source = 0}, cl).run();
+  const auto r = engine::run(kLazyVertex, dg, algos::SSSP{.source = 0}, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_sssp_exact(g, 0, r.data);
 }
@@ -33,9 +33,7 @@ TEST(LazyVertexEngine, CcExact) {
   const Graph g = gen::erdos_renyi(400, 800, 9).symmetrized();
   const auto dg = build_dgraph(g, 8);
   auto cl = make_cluster(8);
-  const auto r =
-      engine::LazyVertexAsyncEngine(dg, algos::ConnectedComponents{}, cl)
-          .run();
+  const auto r = engine::run(kLazyVertex, dg, algos::ConnectedComponents{}, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_cc_exact(g, r.data);
 }
@@ -44,8 +42,7 @@ TEST(LazyVertexEngine, KcoreExactWithInversePath) {
   const Graph g = gen::rmat(9, 5, 0.5, 0.22, 0.22, 13).symmetrized();
   const auto dg = build_dgraph(g, 8);
   auto cl = make_cluster(8);
-  const auto r =
-      engine::LazyVertexAsyncEngine(dg, algos::KCore{.k = 5}, cl).run();
+  const auto r = engine::run(kLazyVertex, dg, algos::KCore{.k = 5}, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_kcore_exact(g, 5, r.data);
 }
@@ -55,7 +52,7 @@ TEST(LazyVertexEngine, PagerankWithinTolerance) {
   const auto dg = build_dgraph(g, 4);
   auto cl = make_cluster(4);
   const algos::PageRankDelta pr{.tol = 1e-4};
-  const auto r = engine::LazyVertexAsyncEngine(dg, pr, cl).run();
+  const auto r = engine::run(kLazyVertex, dg, pr, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_pagerank_close(g, r.data, 1e-4);
 }
@@ -64,11 +61,11 @@ TEST(LazyVertexEngine, ReplicasCoherentAtTermination) {
   const Graph g = gen::rmat(8, 6, 0.55, 0.2, 0.2, 5, {1.0f, 5.0f});
   const auto dg = build_dgraph(g, 8);
   auto cl = make_cluster(8);
-  engine::LazyVertexAsyncEngine eng(dg, algos::SSSP{.source = 0}, cl);
-  const auto r = eng.run();
-  ASSERT_TRUE(r.converged);
+  const auto run = testsupport::run_keeping_states(
+      kLazyVertex, dg, algos::SSSP{.source = 0}, cl);
+  ASSERT_TRUE(run.result.converged);
   testsupport::expect_replicas_coherent(
-      dg, eng.states(),
+      dg, run.states,
       [](const algos::SSSP::VData& a, const algos::SSSP::VData& b) {
         return a.dist == b.dist;
       });
@@ -82,11 +79,9 @@ TEST_P(LazyVertexStaleness, SsspExactAtAnyStaleness) {
   const Graph g = gen::road_lattice(15, 15, 0.3, 5, {1.0f, 7.0f});
   const auto dg = build_dgraph(g, 6);
   auto cl = make_cluster(6);
-  engine::LazyVertexOptions opts;
+  engine::RunConfig opts = kLazyVertex;
   opts.staleness = GetParam();
-  const auto r =
-      engine::LazyVertexAsyncEngine(dg, algos::SSSP{.source = 2}, cl, opts)
-          .run();
+  const auto r = engine::run(opts, dg, algos::SSSP{.source = 2}, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_sssp_exact(g, 2, r.data);
 }
@@ -95,10 +90,9 @@ TEST_P(LazyVertexStaleness, KcoreExactAtAnyStaleness) {
   const Graph g = gen::erdos_renyi(300, 1800, 41).symmetrized();
   const auto dg = build_dgraph(g, 6);
   auto cl = make_cluster(6);
-  engine::LazyVertexOptions opts;
+  engine::RunConfig opts = kLazyVertex;
   opts.staleness = GetParam();
-  const auto r =
-      engine::LazyVertexAsyncEngine(dg, algos::KCore{.k = 6}, cl, opts).run();
+  const auto r = engine::run(opts, dg, algos::KCore{.k = 6}, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_kcore_exact(g, 6, r.data);
 }
@@ -113,10 +107,9 @@ TEST(LazyVertexEngine, HigherStalenessFewerCoherencyEvents) {
   int i = 0;
   for (const std::uint32_t staleness : {1u, 64u}) {
     auto cl = make_cluster(8);
-    engine::LazyVertexOptions opts;
+    engine::RunConfig opts = kLazyVertex;
     opts.staleness = staleness;
-    (void)engine::LazyVertexAsyncEngine(dg, algos::SSSP{.source = 0}, cl, opts)
-        .run();
+    (void)engine::run(opts, dg, algos::SSSP{.source = 0}, cl);
     events[i++] = cl.metrics().vertex_coherency_events;
   }
   EXPECT_GE(events[0], events[1]);
@@ -128,8 +121,7 @@ TEST(LazyVertexEngine, WorksOnSplitGraphs) {
                                /*split=*/true);
   ASSERT_GT(dg.parallel_edge_copies(), 0u);
   auto cl = make_cluster(8);
-  const auto r =
-      engine::LazyVertexAsyncEngine(dg, algos::SSSP{.source = 0}, cl).run();
+  const auto r = engine::run(kLazyVertex, dg, algos::SSSP{.source = 0}, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_sssp_exact(g, 0, r.data);
 }
@@ -143,8 +135,7 @@ TEST(LazyVertexEngine, SuperstepCountMatchesTraceSnapshots) {
   auto cl = make_cluster(4);
   sim::Tracer tracer;
   cl.set_tracer(&tracer);
-  const auto r =
-      engine::LazyVertexAsyncEngine(dg, algos::SSSP{.source = 0}, cl).run();
+  const auto r = engine::run(kLazyVertex, dg, algos::SSSP{.source = 0}, cl);
   ASSERT_TRUE(r.converged);
   EXPECT_EQ(tracer.snapshots().size(), r.supersteps);
   EXPECT_EQ(r.metrics.supersteps, r.supersteps);
@@ -165,11 +156,9 @@ TEST(LazyVertexEngine, DrainCycleSnapshotsReportDeliveredActivations) {
   auto cl = make_cluster(2);
   sim::Tracer tracer;
   cl.set_tracer(&tracer);
-  engine::LazyVertexOptions opts;
+  engine::RunConfig opts = kLazyVertex;
   opts.staleness = 1000;  // never reach a per-vertex coherency event
-  const auto r =
-      engine::LazyVertexAsyncEngine(dg, algos::SSSP{.source = 0}, cl, opts)
-          .run();
+  const auto r = engine::run(opts, dg, algos::SSSP{.source = 0}, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_sssp_exact(g, 0, r.data);
   // The far end of the path is only reachable through drain-cycle flushes.

@@ -58,7 +58,9 @@ TEST(ScenarioGenerator, EdgesAlwaysInRange) {
       ASSERT_LT(e.src, s.num_vertices);
       ASSERT_LT(e.dst, s.num_vertices);
     }
-    if (s.needs_source()) ASSERT_LT(s.source, s.num_vertices);
+    if (s.needs_source()) {
+      ASSERT_LT(s.source, s.num_vertices);
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "test_support.hpp"
@@ -42,17 +43,17 @@ template <class P>
 void ExpectBatchMatchesSolo(const partition::DistributedGraph& dg,
                             const std::vector<P>& progs, EngineKind kind,
                             std::uint32_t tpm, double slack = 0.0) {
-  serve::BatchRunOptions bo;
-  bo.kind = kind;
-  bo.threads_per_machine = tpm;
+  engine::RunConfig cfg;
+  cfg.kind = kind;
+  cfg.threads_per_machine = tpm;
   sim::Cluster cluster({dg.num_machines(), {}, 1});
-  const auto batched = serve::run_batched(dg, progs, bo, cluster);
+  const auto batched = serve::run_batched(dg, progs, cfg, cluster);
   ASSERT_TRUE(batched.converged) << to_string(kind);
   ASSERT_EQ(batched.lanes.size(), progs.size());
   const bool points = serve::points_must_match(kind);
   for (std::size_t i = 0; i < progs.size(); ++i) {
     sim::Cluster solo_cluster({dg.num_machines(), {}, 1});
-    const auto solo = serve::run_solo(dg, progs[i], bo, solo_cluster);
+    const auto solo = serve::run_solo(dg, progs[i], cfg, solo_cluster);
     ASSERT_TRUE(solo.converged);
     const auto f = serve::verify_lane(batched.lanes[i], solo, slack, points);
     EXPECT_FALSE(f.has_value()) << to_string(kind) << " tpm=" << tpm
@@ -140,14 +141,14 @@ TEST(BatchedExecutor, DiffusionSeedLanesBitExactUnderSyncBoundedUnderLazy) {
 }
 
 TEST(BatchedExecutor, RejectsEmptyAndOversizedBatches) {
-  serve::BatchRunOptions bo;
+  engine::RunConfig cfg;
   sim::Cluster cluster({kMachines, {}, 1});
   const std::vector<algos::BFS> none;
-  EXPECT_THROW(serve::run_batched(test_dg(), none, bo, cluster),
+  EXPECT_THROW(serve::run_batched(test_dg(), none, cfg, cluster),
                std::invalid_argument);
   const std::vector<algos::BFS> many(serve::kMaxBatchLanes + 1,
                                      algos::BFS{.source = 0});
-  EXPECT_THROW(serve::run_batched(test_dg(), many, bo, cluster),
+  EXPECT_THROW(serve::run_batched(test_dg(), many, cfg, cluster),
                std::invalid_argument);
 }
 
@@ -161,16 +162,16 @@ TEST(BatchedExecutor, ConvergedLanesDropOutOfCoherencyAccounting) {
   const Graph path = gen::path(n, {1.0f, 1.0f});
   const partition::DistributedGraph dg = build_dgraph(path, 3);
   std::vector<algos::BFS> progs{{.source = 0}, {.source = n - 1}};
-  serve::BatchRunOptions bo;
-  bo.kind = EngineKind::kSync;
+  engine::RunConfig cfg;
+  cfg.kind = EngineKind::kSync;
   sim::Cluster cluster({3, {}, 1});
-  const auto batched = serve::run_batched(dg, progs, bo, cluster);
+  const auto batched = serve::run_batched(dg, progs, cfg, cluster);
   ASSERT_TRUE(batched.converged);
   EXPECT_GT(batched.lanes[0].live_points, batched.lanes[1].live_points + 5);
   // And the counts are exactly the solo counts (sync guarantees this).
   for (std::size_t i = 0; i < progs.size(); ++i) {
     sim::Cluster sc({3, {}, 1});
-    const auto solo = serve::run_solo(dg, progs[i], bo, sc);
+    const auto solo = serve::run_solo(dg, progs[i], cfg, sc);
     EXPECT_EQ(batched.lanes[i].live_points, solo.lanes[0].live_points) << i;
   }
 }
@@ -201,7 +202,9 @@ TEST(Traffic, DeterministicSortedAndInRange) {
     } else {
       EXPECT_LT(a[i].source, 256u);
     }
-    if (i > 0) EXPECT_GE(a[i].arrival_seconds, a[i - 1].arrival_seconds);
+    if (i > 0) {
+      EXPECT_GE(a[i].arrival_seconds, a[i - 1].arrival_seconds);
+    }
   }
   // A different seed produces a different stream.
   t.seed = 10;
@@ -388,6 +391,43 @@ TEST(QueryServer, ReportIsDeterministicAcrossRunsAndClusterThreads) {
                 other->records[i].latency_seconds);
     }
   }
+}
+
+// The report's metrics are the sum over its batch runs — exchange bytes
+// included — with the peak state footprint folded as a max.
+TEST(QueryServer, ReportMetricsSumEveryBatchRun) {
+  serve::TrafficOptions t;
+  t.seed = 5;
+  t.num_queries = 24;
+  t.w_bfs = 1.0;
+  t.w_sssp = t.w_widest = t.w_diffusion = t.w_kcore = 0.0;
+  const auto queries = serve::make_traffic(t, test_graph().num_vertices());
+  serve::ServeOptions o;
+  o.run.kind = EngineKind::kLazyBlock;
+  o.policy.max_lanes = 4;
+  const auto rep = serve::QueryServer(shared_test_dg(), o).serve(queries);
+
+  // Re-run every batch with the lane programs the server built for it.
+  std::map<std::uint64_t, std::vector<algos::BFS>> batches;
+  for (const auto& r : rep.records) {
+    auto& progs = batches[r.batch_id];
+    progs.resize(r.batch_width);
+    progs[r.lane] = algos::BFS{r.query.source};
+  }
+  ASSERT_EQ(batches.size(), rep.batches);
+  std::uint64_t wire = 0, raw = 0, state = 0;
+  for (const auto& [id, progs] : batches) {
+    sim::Cluster cluster({kMachines, {}, o.cluster_threads});
+    const auto out = serve::run_batched(test_dg(), progs, o.run, cluster);
+    wire += out.metrics.exchange_bytes_wire;
+    raw += out.metrics.exchange_bytes_raw;
+    state = std::max<std::uint64_t>(state, out.metrics.state_bytes);
+  }
+  EXPECT_GT(rep.metrics.exchange_bytes_wire, 0u);
+  EXPECT_EQ(rep.metrics.exchange_bytes_wire, wire);
+  EXPECT_EQ(rep.metrics.exchange_bytes_raw, raw);
+  EXPECT_GT(rep.metrics.state_bytes, 0u);
+  EXPECT_EQ(rep.metrics.state_bytes, state);
 }
 
 // --- ArtifactCache byte-budget LRU ---

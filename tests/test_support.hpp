@@ -66,6 +66,28 @@ inline void expect_pagerank_close(
   }
 }
 
+/// An engine run's result plus the replica states its coherency inspector
+/// saw last — the terminal states whenever the run converged (every engine
+/// fires the inspector last on the terminal state).
+template <engine::VertexProgram P>
+struct RunWithStates {
+  engine::RunResult<P> result;
+  std::vector<engine::PartState<P>> states;
+};
+
+template <engine::VertexProgram P>
+RunWithStates<P> run_keeping_states(const engine::RunConfig& cfg,
+                                    const partition::DistributedGraph& dg,
+                                    const P& prog, sim::Cluster& cluster) {
+  RunWithStates<P> out;
+  out.result = engine::run(
+      cfg, dg, prog, cluster,
+      [&out](std::uint64_t, const std::vector<engine::PartState<P>>& states) {
+        out.states = states;
+      });
+  return out;
+}
+
 /// All replicas of every vertex hold the same final state (the paper's
 /// coherency guarantee at termination), compared via `eq`.
 template <class P, class Eq>

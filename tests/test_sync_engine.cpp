@@ -8,11 +8,13 @@ namespace {
 using testsupport::build_dgraph;
 using testsupport::make_cluster;
 
+const engine::RunConfig kSync{.kind = engine::EngineKind::kSync};
+
 TEST(SyncEngine, ThreeSyncsPerSuperstep) {
   const Graph g = gen::erdos_renyi(100, 500, 3, {1.0f, 5.0f});
   const auto dg = build_dgraph(g, 4);
   auto cl = make_cluster(4);
-  const auto r = engine::SyncEngine(dg, algos::SSSP{.source = 0}, cl).run();
+  const auto r = engine::run(kSync, dg, algos::SSSP{.source = 0}, cl);
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(cl.metrics().global_syncs, 3 * r.supersteps);
 }
@@ -21,7 +23,7 @@ TEST(SyncEngine, SsspExactOnWeightedGraph) {
   const Graph g = gen::erdos_renyi(300, 1500, 5, {1.0f, 9.0f});
   const auto dg = build_dgraph(g, 6);
   auto cl = make_cluster(6);
-  const auto r = engine::SyncEngine(dg, algos::SSSP{.source = 0}, cl).run();
+  const auto r = engine::run(kSync, dg, algos::SSSP{.source = 0}, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_sssp_exact(g, 0, r.data);
 }
@@ -30,7 +32,7 @@ TEST(SyncEngine, SingleMachineDegeneratesGracefully) {
   const Graph g = gen::path(20, {1.0f, 1.0f});
   const auto dg = build_dgraph(g, 1);
   auto cl = make_cluster(1);
-  const auto r = engine::SyncEngine(dg, algos::SSSP{.source = 0}, cl).run();
+  const auto r = engine::run(kSync, dg, algos::SSSP{.source = 0}, cl);
   ASSERT_TRUE(r.converged);
   testsupport::expect_sssp_exact(g, 0, r.data);
   EXPECT_EQ(cl.metrics().network_messages, 0u);  // no mirrors, no traffic
@@ -40,7 +42,7 @@ TEST(SyncEngine, PathNeedsOneSuperstepPerHop) {
   const Graph g = gen::path(12, {1.0f, 1.0f});
   const auto dg = build_dgraph(g, 4, partition::CutKind::kRandom);
   auto cl = make_cluster(4);
-  const auto r = engine::SyncEngine(dg, algos::BFS{.source = 0}, cl).run();
+  const auto r = engine::run(kSync, dg, algos::BFS{.source = 0}, cl);
   ASSERT_TRUE(r.converged);
   // BSP propagation: at least one superstep per hop on an 11-hop path.
   EXPECT_GE(r.supersteps, 11u);
@@ -52,7 +54,7 @@ TEST(SyncEngine, RefusesSplitGraphs) {
                                /*split=*/true);
   ASSERT_GT(dg.parallel_edge_copies(), 0u);
   auto cl = make_cluster(4);
-  EXPECT_THROW(engine::SyncEngine(dg, algos::SSSP{.source = 0}, cl),
+  EXPECT_THROW(engine::run(kSync, dg, algos::SSSP{.source = 0}, cl),
                std::invalid_argument);
 }
 
@@ -60,7 +62,7 @@ TEST(SyncEngine, RefusesMachineMismatch) {
   const Graph g = gen::erdos_renyi(50, 200, 1);
   const auto dg = build_dgraph(g, 4);
   auto cl = make_cluster(8);
-  EXPECT_THROW(engine::SyncEngine(dg, algos::SSSP{.source = 0}, cl),
+  EXPECT_THROW(engine::run(kSync, dg, algos::SSSP{.source = 0}, cl),
                std::invalid_argument);
 }
 
@@ -68,10 +70,9 @@ TEST(SyncEngine, MaxSuperstepsBoundsRun) {
   const Graph g = gen::road_lattice(20, 20, 0.1, 3, {1.0f, 5.0f});
   const auto dg = build_dgraph(g, 4);
   auto cl = make_cluster(4);
-  engine::SyncOptions opts;
-  opts.max_supersteps = 3;
-  const auto r =
-      engine::SyncEngine(dg, algos::SSSP{.source = 0}, cl, opts).run();
+  engine::RunConfig cfg = kSync;
+  cfg.max_supersteps = 3;
+  const auto r = engine::run(cfg, dg, algos::SSSP{.source = 0}, cl);
   EXPECT_FALSE(r.converged);
   EXPECT_EQ(r.supersteps, 3u);
 }
@@ -80,13 +81,13 @@ TEST(SyncEngine, MirrorsReceiveEagerDataUpdates) {
   const Graph g = gen::erdos_renyi(200, 1200, 9, {1.0f, 4.0f});
   const auto dg = build_dgraph(g, 6);
   auto cl = make_cluster(6);
-  engine::SyncEngine eng(dg, algos::SSSP{.source = 0}, cl);
-  const auto r = eng.run();
-  ASSERT_TRUE(r.converged);
+  const auto run =
+      testsupport::run_keeping_states(kSync, dg, algos::SSSP{.source = 0}, cl);
+  ASSERT_TRUE(run.result.converged);
   // Eager coherency: every replica equals the master copy at all times,
   // so certainly at termination.
   testsupport::expect_replicas_coherent(
-      dg, eng.states(),
+      dg, run.states,
       [](const algos::SSSP::VData& a, const algos::SSSP::VData& b) {
         return a.dist == b.dist;
       });
@@ -98,8 +99,8 @@ TEST(SyncEngine, TrafficGrowsWithReplication) {
   const auto dg16 = build_dgraph(g, 16);
   auto cl2 = make_cluster(2);
   auto cl16 = make_cluster(16);
-  (void)engine::SyncEngine(dg2, algos::ConnectedComponents{}, cl2).run();
-  (void)engine::SyncEngine(dg16, algos::ConnectedComponents{}, cl16).run();
+  (void)engine::run(kSync, dg2, algos::ConnectedComponents{}, cl2);
+  (void)engine::run(kSync, dg16, algos::ConnectedComponents{}, cl16);
   EXPECT_GT(cl16.metrics().network_bytes, cl2.metrics().network_bytes);
 }
 
@@ -110,7 +111,7 @@ TEST(SyncEngine, GatherChargesFullInNeighborhood) {
   const Graph g = gen::erdos_renyi(200, 2000, 5, {1.0f, 9.0f});
   const auto dg = build_dgraph(g, 4);
   auto cl = make_cluster(4);
-  (void)engine::SyncEngine(dg, algos::SSSP{.source = 0}, cl).run();
+  (void)engine::run(kSync, dg, algos::SSSP{.source = 0}, cl);
   EXPECT_GT(cl.metrics().edge_traversals, g.num_edges());
 }
 

@@ -299,6 +299,19 @@ TEST(Options, ParsesKeyValueAndFlags) {
   EXPECT_EQ(o.positional()[0], "pos1");
 }
 
+// A bare --flag carries no value: string/number getters fall back to their
+// default (so `--trace` means "trace to the default file", not to a file
+// named "true"), while get_bool reads it as set.
+TEST(Options, BareFlagIsPresentWithNoValue) {
+  const char* argv[] = {"prog", "--trace", "--depth", "--verbose"};
+  Options o(4, argv);
+  EXPECT_TRUE(o.has("trace"));
+  EXPECT_EQ(o.get("trace", "trace.jsonl"), "trace.jsonl");
+  EXPECT_EQ(o.get_int("depth", 7), 7);
+  EXPECT_DOUBLE_EQ(o.get_double("depth", 2.5), 2.5);
+  EXPECT_TRUE(o.get_bool("verbose", false));
+}
+
 TEST(Options, DefaultsWhenMissing) {
   const char* argv[] = {"prog"};
   Options o(1, argv);

@@ -23,7 +23,7 @@
 //   --ingest-threads=N   setup-path threads for load/partition/build
 //                        (default 1; 0 = hardware concurrency; the output is
 //                        bit-identical at any value)
-//   --trace=FILE         write the run's JSONL trace to FILE
+//   --trace[=FILE]       write the run's JSONL trace to FILE (trace.jsonl)
 //   --trace-summary[=K]  print the top-K most expensive spans (default 10)
 //                        plus per-kind totals and the superstep decision log
 //   --perf-report[=FILE] print the per-phase perf report (simulated seconds,
@@ -226,7 +226,7 @@ int main(int argc, char** argv) try {
       {machines, {}, 0, sim::FailurePlan::parse(opts.get("kill", ""))});
 
   engine::RunConfig cfg;
-  cfg.kind = kind;  // graph_ev_ratio auto-derives from the dg's user view
+  cfg.kind = kind;
   if (want_trace) cfg.tracer = &tracer;
   cfg.threads_per_machine =
       static_cast<std::uint32_t>(opts.get_int("threads-per-machine", 1));
@@ -325,7 +325,7 @@ int main(int argc, char** argv) try {
   }
   if (opts.has("trace-summary")) {
     auto k = static_cast<std::size_t>(opts.get_int("trace-summary", 10));
-    if (k == 0) k = 10;  // bare --trace-summary parses as 0
+    if (k == 0) k = 10;  // non-numeric values parse as 0
     if (!tracer.setup_spans().empty()) {
       std::cout << "\nsetup stages (wall-clock, " << ingest_threads
                 << " thread(s); not simulated time):\n";

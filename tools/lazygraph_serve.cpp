@@ -23,8 +23,9 @@
 //   Diffusion family: --alpha=A --tol=T
 //   --verify=true        re-run every lane solo and fail on any divergence
 //   --cache-budget-mb=N  byte budget for the artifact cache (0 = unbounded)
-//   --trace=FILE         write the serving trace (per-query spans + engine
+//   --trace[=FILE]       write the serving trace (per-query spans + engine
 //                        spans of every batch) as JSONL to FILE
+//                        (serve_trace.jsonl)
 #include <chrono>
 #include <fstream>
 #include <iostream>
