@@ -4,12 +4,13 @@
 // The bitset does not own memory: PartState carves `words_for(n)` 64-bit
 // words per flag set out of its slab and attach()es views. Writes go through
 // a proxy that RMWs the containing word with relaxed std::atomic_ref ops:
-// parallel sweep chunks and the sync engine's cross-machine gather set/clear
-// flags of *distinct* vertices concurrently, and distinct bits of one word
-// commute under fetch_or/fetch_and — so the result is bit-identical to the
-// serial order regardless of interleaving. Reads are plain loads: every
-// reader runs after the writers' fork/join barrier (pool join or serial
-// loop), which gives happens-before.
+// parallel sweep chunks set/clear flags of *distinct* vertices concurrently,
+// and distinct bits of one word commute under fetch_or/fetch_and — so the
+// result is bit-identical to the serial order regardless of interleaving.
+// Reads by the owning machine are plain loads: every such reader runs after
+// the writers' fork/join barrier (pool join or serial loop), which gives
+// happens-before. A read from another machine's phase body uses load(): the
+// owner may be RMW-ing other bits of the same word at that moment.
 //
 // count() is a word-wise popcount — this is what makes count_msgs() O(n/64)
 // instead of the old O(n) byte scan.
@@ -69,6 +70,13 @@ class Bitset {
 
   bool operator[](std::size_t i) const {
     return (words_[i / kWordBits] >> (i % kWordBits)) & 1;
+  }
+
+  /// Relaxed atomic read of flag i, for readers running concurrently with
+  /// the owner's writes to *other* bits of the word (cross-machine reads).
+  bool load(std::size_t i) const {
+    std::atomic_ref<std::uint64_t> word(words_[i / kWordBits]);
+    return (word.load(std::memory_order_relaxed) >> (i % kWordBits)) & 1;
   }
 
   std::size_t size() const { return nbits_; }

@@ -149,7 +149,7 @@ struct SweepExec {
 };
 
 /// Runs body(begin, end) over [0, n) in chunk_size-aligned slices, on the
-/// cluster pool when the exec budget allows, inline otherwise.
+/// shared pool when the exec budget allows, inline otherwise.
 inline void run_chunks(const SweepExec& exec, std::size_t n,
                        std::size_t chunk_size,
                        util::FunctionRef<void(std::size_t, std::size_t)> body) {

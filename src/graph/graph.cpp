@@ -19,7 +19,7 @@ std::vector<vid_t> count_degrees(vid_t num_vertices,
                                  const std::vector<Edge>& edges,
                                  DegreeMode mode, std::size_t threads) {
   std::vector<vid_t> deg(num_vertices, 0);
-  threads = resolve_setup_threads(threads);
+  threads = resolve_threads(threads);
   if (threads <= 1 || edges.size() < 2 * threads) {
     for (const Edge& e : edges) {
       if (mode != DegreeMode::kIn) ++deg[e.src];

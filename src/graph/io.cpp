@@ -90,7 +90,7 @@ void parse_chunk(std::string_view text, std::size_t begin, std::size_t end,
 }  // namespace
 
 Graph read_edge_list_text(std::string_view text, const ReadOptions& opts) {
-  const std::size_t threads = resolve_setup_threads(opts.threads);
+  const std::size_t threads = resolve_threads(opts.threads);
   // Chunk boundaries snap forward to the next line start, so no line is ever
   // split, dropped, or parsed twice; the boundary rule depends only on
   // (text, chunk count) and per-chunk outputs concatenate in chunk order,

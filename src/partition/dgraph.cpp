@@ -25,7 +25,7 @@ DistributedGraph DistributedGraph::build(
           "DistributedGraph: machines must be in [1, 64]");
   require(assignment.edge_machine.size() == g.num_edges(),
           "DistributedGraph: assignment size mismatch");
-  const std::size_t nthreads = resolve_setup_threads(threads);
+  const std::size_t nthreads = resolve_threads(threads);
 
   DistributedGraph dg;
   dg.num_global_ = g.num_vertices();

@@ -72,7 +72,7 @@ class DistributedGraph {
   /// stages — replica-mask build (per-range masks OR-folded), master
   /// selection (pure per-vertex), edge bucketing (per-range buckets
   /// concatenated in range order), and the per-machine CSR construction
-  /// (machines are independent) — on the shared setup pool. Output is
+  /// (machines are independent) — on the process-wide shared pool. Output is
   /// bit-identical for every thread count.
   static DistributedGraph build(const Graph& g, machine_t machines,
                                 const Assignment& assignment,

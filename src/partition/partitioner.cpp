@@ -32,7 +32,7 @@ machine_t hash_to_machine(std::uint64_t key, std::uint64_t seed,
 // hashes), so any decomposition yields bit-identical output.
 void per_edge_parallel(const Graph& g, std::size_t threads,
                        const std::function<void(std::size_t)>& body) {
-  parallel_ranges(g.num_edges(), resolve_setup_threads(threads),
+  parallel_ranges(g.num_edges(), resolve_threads(threads),
                   [&](std::size_t, std::size_t begin, std::size_t end) {
                     for (std::size_t i = begin; i < end; ++i) body(i);
                   });
@@ -186,7 +186,7 @@ Assignment oblivious_cut(const Graph& g, machine_t machines,
       --remaining[e.dst];
     }
   };
-  parallel_ranges(machines, resolve_setup_threads(threads),
+  parallel_ranges(machines, resolve_threads(threads),
                   [&](std::size_t, std::size_t lo, std::size_t hi) {
                     for (std::size_t c = lo; c < hi; ++c) {
                       run_loader(static_cast<machine_t>(c));
@@ -243,7 +243,7 @@ double replication_factor(const Graph& g, const Assignment& a,
   require(a.edge_machine.size() == g.num_edges(),
           "replication_factor: assignment size mismatch");
   (void)machines;
-  threads = resolve_setup_threads(threads);
+  threads = resolve_threads(threads);
   std::vector<std::uint64_t> mask(g.num_vertices(), 0);
   if (threads <= 1 || g.num_edges() < 2 * threads) {
     for (std::size_t i = 0; i < g.edges().size(); ++i) {
@@ -291,7 +291,7 @@ std::vector<std::uint64_t> machine_loads(const Assignment& a,
                                          machine_t machines,
                                          std::size_t threads) {
   std::vector<std::uint64_t> load(machines, 0);
-  threads = resolve_setup_threads(threads);
+  threads = resolve_threads(threads);
   if (threads <= 1 || a.edge_machine.size() < 2 * threads) {
     for (const machine_t m : a.edge_machine) ++load[m];
     return load;

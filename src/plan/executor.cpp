@@ -1,5 +1,6 @@
 #include "plan/executor.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <utility>
@@ -175,6 +176,7 @@ struct GroupRun {
   int n = 0;
   bool converged = false;
   std::uint64_t supersteps = 0;
+  std::uint64_t state_bytes = 0;  // the run's peak engine state
 };
 
 template <class PA, class PB>
@@ -197,6 +199,7 @@ GroupRun run_fused_pair(const StageSpec& sa, const StageSpec& sb,
   g.n = 2;
   g.converged = res.converged;
   g.supersteps = res.supersteps;
+  g.state_bytes = res.metrics.state_bytes;
   g.outcomes[0] = finish_outcome(sa, scope, std::move(da),
                                  res.handoff.touched, res.converged,
                                  res.supersteps);
@@ -226,12 +229,12 @@ bool fusable(const StageSpec& a, const StageSpec& b, engine::EngineKind kind) {
 
 Executor::Executor(Graph g, machine_t machines,
                    partition::PartitionOptions popts,
-                   partition::ArtifactCache* cache, std::size_t setup_threads)
+                   partition::ArtifactCache* cache, std::size_t threads)
     : g_(std::move(g)),
       machines_(machines),
       popts_(popts),
       cache_(cache),
-      setup_threads_(setup_threads) {
+      threads_(threads) {
   require(machines_ > 0, "plan: need at least one machine");
 }
 
@@ -314,8 +317,8 @@ PipelineResult Executor::run(const Pipeline& pipe, const LowerOptions& opts) {
   PipelineResult out;
   out.stages.resize(n);
   out.outcomes.resize(n);
-  sim::Cluster cluster(
-      sim::ClusterConfig{machines_, {}, opts.threads_per_machine});
+  sim::Cluster cluster(sim::ClusterConfig{machines_, {}, threads_});
+  std::uint64_t peak_state = 0;
 
   std::shared_ptr<const VertexScope> scope =
       VertexScope::full(g_.num_vertices());
@@ -377,7 +380,7 @@ PipelineResult Executor::run(const Pipeline& pipe, const LowerOptions& opts) {
     std::shared_ptr<const partition::DistributedGraph> dg;
     if (opts.reuse_artifacts && cache_) {
       const partition::ArtifactStats before = cache_->stats();
-      dg = cache_->dgraph(gv, machines_, popts_, split, setup_threads_);
+      dg = cache_->dgraph(gv, machines_, popts_, split, threads_);
       const partition::ArtifactStats after = cache_->stats();
       const bool part_hit = after.assignment_misses == before.assignment_misses;
       const bool build_hit = after.dgraph_misses == before.dgraph_misses;
@@ -425,7 +428,7 @@ PipelineResult Executor::run(const Pipeline& pipe, const LowerOptions& opts) {
         t0 = Clock::now();
         dg = std::make_shared<const partition::DistributedGraph>(
             partition::DistributedGraph::build(gv, machines_, assignment,
-                                               split_edges, setup_threads_));
+                                               split_edges, threads_));
         const double build_s = seconds_since(t0);
         ++out.builds_computed;
         if (opts.tracer) {
@@ -504,6 +507,7 @@ PipelineResult Executor::run(const Pipeline& pipe, const LowerOptions& opts) {
       run.n = 1;
       run.converged = res.converged;
       run.supersteps = res.supersteps;
+      run.state_bytes = res.metrics.state_bytes;
       run.outcomes[0] =
           finish_outcome(s, scope, std::move(res.data), res.handoff.touched,
                          res.converged, res.supersteps);
@@ -517,6 +521,7 @@ PipelineResult Executor::run(const Pipeline& pipe, const LowerOptions& opts) {
         g.n = 1;
         g.converged = res.converged;
         g.supersteps = res.supersteps;
+        g.state_bytes = res.metrics.state_bytes;
         g.outcomes[0] =
             finish_outcome(s, scope, std::move(res.data), res.handoff.touched,
                            res.converged, res.supersteps);
@@ -525,6 +530,7 @@ PipelineResult Executor::run(const Pipeline& pipe, const LowerOptions& opts) {
     }
     const double run_wall = seconds_since(run0);
     ++out.engine_runs;
+    peak_state = std::max(peak_state, run.state_bytes);
     const sim::SimMetrics after = cluster.metrics();
     if (opts.tracer) {
       opts.tracer->record_setup({.kind = sim::SpanKind::kPlanLower,
@@ -553,7 +559,10 @@ PipelineResult Executor::run(const Pipeline& pipe, const LowerOptions& opts) {
     }
   }
 
+  // The cluster's metrics carry no engine state (finalize_result stamps it
+  // on each run's own copy), so the lowering reports the groups' peak.
   out.metrics = cluster.metrics();
+  out.metrics.state_bytes = peak_state;
   return out;
 }
 

@@ -123,7 +123,8 @@ struct PipelineResult {
   std::uint64_t engine_runs = 0;       // engine invocations this lowering
   std::uint64_t partitions_computed = 0;  // assign_edges actually executed
   std::uint64_t builds_computed = 0;      // DistributedGraph::build executed
-  /// Final metrics of the lowering's cluster (all groups accumulate).
+  /// Final metrics of the lowering's cluster (all groups accumulate);
+  /// state_bytes is the peak over the group runs.
   sim::SimMetrics metrics = {};
 
   /// Typed view of outcome `i`'s data; P must be the stage's algos program.
@@ -150,12 +151,14 @@ bool fusable(const StageSpec& a, const StageSpec& b, engine::EngineKind kind);
 class Executor {
  public:
   /// `cache` may be null to always build artifacts directly (equivalent to
-  /// reuse_artifacts = false). `setup_threads` parallelizes partitioning and
-  /// building on misses (bit-identical at any value).
+  /// reuse_artifacts = false). `threads` is the executor's thread budget:
+  /// it parallelizes partitioning and building on misses and caps the
+  /// lowering cluster's machine fan-out (0 = hardware concurrency). Results,
+  /// stage digests and metrics are bit-identical at any value.
   Executor(Graph g, machine_t machines,
            partition::PartitionOptions popts = {},
            partition::ArtifactCache* cache = &partition::ArtifactCache::global(),
-           std::size_t setup_threads = 1);
+           std::size_t threads = 1);
 
   PipelineResult run(const Pipeline& pipe, const LowerOptions& opts = {});
 
@@ -175,7 +178,7 @@ class Executor {
   machine_t machines_;
   partition::PartitionOptions popts_;
   partition::ArtifactCache* cache_;
-  std::size_t setup_threads_;
+  std::size_t threads_;
   /// Direct-build memo for the composed path when `cache_` is null; keyed
   /// like ViewSlot::key. Cleared never (two views × split configs, tiny).
   std::vector<ViewSlot> views_;

@@ -3,23 +3,28 @@
 #include <algorithm>
 
 #include "util/common.hpp"
+#include "util/threadpool.hpp"
 
 namespace lazygraph::sim {
 
 Cluster::Cluster(const ClusterConfig& cfg)
     : machines_(cfg.machines),
       net_(cfg.net, cfg.machines),
-      failures_(cfg.failures) {
+      failures_(cfg.failures),
+      threads_(resolve_threads(cfg.threads)) {
   require(machines_ >= 1, "Cluster: need at least one machine");
-  if (cfg.threads != 1) pool_ = std::make_unique<ThreadPool>(cfg.threads);
 }
 
 void Cluster::parallel_machines(util::FunctionRef<void(machine_t)> body) {
-  if (pool_) {
+  if (threads_ > 1 && machines_ > 1) {
     // The pool path type-erases into std::function (and allocates control
     // blocks) by design; the serial path below is the zero-allocation one.
-    pool_->parallel_for(machines_,
-                        [&](std::size_t m) { body(static_cast<machine_t>(m)); });
+    shared_pool().parallel_for_chunks(
+        machines_, 1, threads_, [&](std::size_t b, std::size_t e) {
+          for (std::size_t m = b; m < e; ++m) {
+            body(static_cast<machine_t>(m));
+          }
+        });
   } else {
     for (machine_t m = 0; m < machines_; ++m) body(m);
   }
@@ -29,8 +34,8 @@ void Cluster::run_chunks(
     std::size_t n, std::size_t chunk_size, std::uint32_t threads,
     util::FunctionRef<void(std::size_t, std::size_t)> body) const {
   if (chunk_size == 0) chunk_size = 1;
-  if (pool_ && threads > 1 && n > chunk_size) {
-    pool_->parallel_for_chunks(
+  if (threads_ > 1 && threads > 1 && n > chunk_size) {
+    shared_pool().parallel_for_chunks(
         n, chunk_size, threads,
         [&](std::size_t b, std::size_t e) { body(b, e); });
     return;

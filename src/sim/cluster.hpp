@@ -5,10 +5,12 @@
 // work (local computation stages), then the charge_* helpers to account the
 // superstep. Execution is bit-deterministic: machines never share mutable
 // state inside a stage, and cross-machine data moves only between stages.
+// The machines run on the process-wide shared_pool(); a Cluster owns no
+// threads, only a cap on how many of them one call may use.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -17,15 +19,15 @@
 #include "sim/netmodel.hpp"
 #include "sim/trace.hpp"
 #include "util/function_ref.hpp"
-#include "util/threadpool.hpp"
 
 namespace lazygraph::sim {
 
 struct ClusterConfig {
   machine_t machines = 8;
   NetworkModelConfig net = {};
-  /// Worker threads executing machine-local work; 0 = hardware concurrency,
-  /// 1 = fully serial (useful in tests).
+  /// Most machine bodies one parallel_machines call runs at once on the
+  /// shared pool (the caller included); 0 = hardware concurrency, 1 = fully
+  /// serial and allocation-free (useful in tests).
   std::size_t threads = 0;
   /// Deterministic machine-failure schedule; empty = no failures. Engines
   /// act on it at coherency points via recovery::Recoverer.
@@ -49,17 +51,18 @@ class Cluster {
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
   Tracer* tracer() const { return tracer_; }
 
-  /// Runs body(m) for every machine m, in parallel across the pool.
-  /// body must only touch machine-m state. Takes a FunctionRef so the
-  /// serial path (pool absent) performs no heap allocation per call.
+  /// Runs body(m) for every machine m on up to `threads` threads of the
+  /// shared pool. body must only write machine-m state. Takes a FunctionRef
+  /// so the serial path (threads == 1) performs no heap allocation per call.
+  /// Machines are claimed in ascending order, one at a time.
   void parallel_machines(util::FunctionRef<void(machine_t)> body);
 
   /// Runs body(begin, end) over [0, n) in chunk_size slices using up to
   /// `threads` threads (the intra-machine budget — including the caller,
   /// which is typically already a pool worker inside parallel_machines).
-  /// Inline when the budget is 1, the pool is absent, or a single chunk
-  /// covers everything. body must be safe to run concurrently per chunk;
-  /// callers own determinism (merge in chunk order).
+  /// Inline when the budget is 1, the cluster is serial (threads == 1), or
+  /// a single chunk covers everything. body must be safe to run concurrently
+  /// per chunk; callers own determinism (merge in chunk order).
   void run_chunks(std::size_t n, std::size_t chunk_size,
                   std::uint32_t threads,
                   util::FunctionRef<void(std::size_t, std::size_t)> body)
@@ -136,7 +139,7 @@ class Cluster {
   FailurePlan failures_;
   SimMetrics metrics_;
   Tracer* tracer_ = nullptr;          // not owned; null = tracing off
-  std::unique_ptr<ThreadPool> pool_;  // null when threads == 1
+  std::size_t threads_;               // resolved cap; 1 = serial
 };
 
 }  // namespace lazygraph::sim

@@ -48,6 +48,38 @@ std::string num(double v) {
   return os.str();
 }
 
+/// Names the first counter (or the simulated seconds) that differs between
+/// two runs' metrics; nullopt when every one is equal.
+std::optional<std::string> compare_metrics(const sim::SimMetrics& a,
+                                           const sim::SimMetrics& b) {
+  const struct {
+    const char* name;
+    std::uint64_t sim::SimMetrics::*field;
+  } counters[] = {
+      {"supersteps", &sim::SimMetrics::supersteps},
+      {"global_syncs", &sim::SimMetrics::global_syncs},
+      {"network_messages", &sim::SimMetrics::network_messages},
+      {"network_bytes", &sim::SimMetrics::network_bytes},
+      {"applies", &sim::SimMetrics::applies},
+      {"edge_traversals", &sim::SimMetrics::edge_traversals},
+      {"sweep_scanned", &sim::SimMetrics::sweep_scanned},
+      {"exchange_bytes_raw", &sim::SimMetrics::exchange_bytes_raw},
+      {"exchange_bytes_wire", &sim::SimMetrics::exchange_bytes_wire},
+      {"state_bytes", &sim::SimMetrics::state_bytes},
+  };
+  for (const auto& c : counters) {
+    if (a.*c.field != b.*c.field) {
+      return std::string(c.name) + " " + std::to_string(a.*c.field) +
+             " vs " + std::to_string(b.*c.field);
+    }
+  }
+  if (a.sim_seconds() != b.sim_seconds()) {
+    return "sim_seconds " + num(a.sim_seconds()) + " vs " +
+           num(b.sim_seconds());
+  }
+  return std::nullopt;
+}
+
 /// The engine configuration a scenario runs `kind` with.
 engine::RunConfig run_config(EngineKind kind, const Scenario& s,
                              const OracleOptions& o) {
@@ -897,17 +929,22 @@ Verdict check_pipeline_scenario(const Scenario& s, const OracleOptions& opts) {
     }
 
     if (opts.check_determinism) {
-      // Fresh executor + fresh cache: the whole lowering must reproduce
-      // bit-for-bit.
+      // Fresh executor + fresh cache, at executor threads 2 (machines of
+      // the lowering cluster run concurrently): the whole lowering must
+      // reproduce bit-for-bit, counters included.
       partition::ArtifactCache cache2;
-      plan::Executor again(g, s.machines, popts, &cache2, 1);
+      plan::Executor again(g, s.machines, popts, &cache2, 2);
       const plan::PipelineResult ares = again.run(pipe, base);
       for (std::size_t i = 0; i < pipe.size(); ++i) {
         if (ares.outcomes[i].digest != cres.outcomes[i].digest ||
             ares.outcomes[i].supersteps != cres.outcomes[i].supersteps) {
           return {false, "pipeline stage " + std::to_string(i) +
-                             ": repeated lowering not bit-identical"};
+                             ": lowering at executor threads 2 not "
+                             "bit-identical"};
         }
+      }
+      if (auto f = compare_metrics(cres.metrics, ares.metrics)) {
+        return {false, "pipeline: executor threads 2 changed " + *f};
       }
       // Same executor again: the Merkle stage memo must replay everything.
       const plan::PipelineResult mres = composed.run(pipe, base);

@@ -1,5 +1,8 @@
 #include "util/options.hpp"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 namespace lazygraph {
@@ -28,16 +31,46 @@ std::string Options::get(const std::string& key, const std::string& def) const {
   return it == kv_.end() ? def : it->second.value_or(def);
 }
 
-std::int64_t Options::get_int(const std::string& key, std::int64_t def) const {
+std::int64_t Options::get_int(const std::string& key, std::int64_t def,
+                              std::int64_t lo, std::int64_t hi) const {
   const auto it = kv_.find(key);
   if (it == kv_.end() || !it->second) return def;
-  return std::strtoll(it->second->c_str(), nullptr, 10);
+  const std::string& text = *it->second;
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || end != text.c_str() + text.size() ||
+      std::isspace(static_cast<unsigned char>(text.front()))) {
+    throw OptionError("--" + key + ": expected an integer, got '" + text +
+                      "'");
+  }
+  if (errno == ERANGE || v < lo || v > hi) {
+    const std::string range =
+        hi == std::numeric_limits<std::int64_t>::max()
+            ? ">= " + std::to_string(lo)
+            : "[" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    throw OptionError("--" + key + ": " + text + " is out of range (must be " +
+                      range + ")");
+  }
+  return v;
 }
 
 double Options::get_double(const std::string& key, double def) const {
   const auto it = kv_.find(key);
   if (it == kv_.end() || !it->second) return def;
-  return std::strtod(it->second->c_str(), nullptr);
+  const std::string& text = *it->second;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size() ||
+      std::isspace(static_cast<unsigned char>(text.front()))) {
+    throw OptionError("--" + key + ": expected a number, got '" + text + "'");
+  }
+  if (errno == ERANGE || !std::isfinite(v)) {
+    throw OptionError("--" + key + ": " + text +
+                      " is out of range (must be a finite double)");
+  }
+  return v;
 }
 
 bool Options::get_bool(const std::string& key, bool def) const {

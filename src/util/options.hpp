@@ -1,16 +1,26 @@
 // Minimal command-line option parser for examples and bench drivers.
 // Supports --key=value and --flag forms; anything else is a positional arg.
 // A bare --flag is present with no value: get/get_int/get_double return
-// their default for it, get_bool returns true.
+// their default for it, get_bool returns true. A value get_int/get_double
+// cannot parse completely, or that falls outside the accepted range, throws
+// OptionError naming the flag (tools turn it into a non-zero exit).
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace lazygraph {
+
+/// A malformed or out-of-range flag value; what() names the flag.
+class OptionError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
 
 class Options {
  public:
@@ -18,7 +28,12 @@ class Options {
 
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& def) const;
-  std::int64_t get_int(const std::string& key, std::int64_t def) const;
+  /// The whole value as a base-10 integer in [lo, hi]; `def` when absent.
+  std::int64_t get_int(
+      const std::string& key, std::int64_t def,
+      std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+      std::int64_t hi = std::numeric_limits<std::int64_t>::max()) const;
+  /// The whole value as a finite double; `def` when absent.
   double get_double(const std::string& key, double def) const;
   bool get_bool(const std::string& key, bool def) const;
 

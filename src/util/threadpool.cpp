@@ -197,12 +197,12 @@ void serial_for(std::size_t n, const std::function<void(std::size_t)>& body) {
   for (std::size_t i = 0; i < n; ++i) body(i);
 }
 
-ThreadPool& setup_pool() {
+ThreadPool& shared_pool() {
   static ThreadPool pool(0);
   return pool;
 }
 
-std::size_t resolve_setup_threads(std::size_t threads) {
+std::size_t resolve_threads(std::size_t threads) {
   if (threads != 0) return threads;
   const std::size_t hw = std::thread::hardware_concurrency();
   return hw == 0 ? 4 : hw;
@@ -218,7 +218,7 @@ void parallel_ranges(
   }
   ranges = std::min(ranges, n);
   const auto bound = [&](std::size_t r) { return r * n / ranges; };
-  setup_pool().parallel_for(ranges, [&](std::size_t r) {
+  shared_pool().parallel_for(ranges, [&](std::size_t r) {
     const std::size_t begin = bound(r), end = bound(r + 1);
     if (begin < end) body(r, begin, end);
   });

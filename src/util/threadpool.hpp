@@ -1,9 +1,10 @@
 // A small fixed-size thread pool plus a deterministic parallel_for.
 //
-// The cluster simulator uses this to run independent per-machine work in
-// parallel. Work items never share mutable state (BSP staging), so the pool
-// only needs fork/join semantics; results are merged in machine order by the
-// caller, keeping every run bit-identical regardless of thread count.
+// The cluster simulator and the setup path run independent work on one
+// shared instance (shared_pool()). Work items never share mutable state (BSP
+// staging), so the pool only needs fork/join semantics; results are merged in
+// a fixed order by the caller, keeping every run bit-identical regardless of
+// thread count.
 #pragma once
 
 #include <condition_variable>
@@ -60,19 +61,20 @@ class ThreadPool {
 /// *execution order* (not just results) is wanted, e.g. in tests.
 void serial_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
-/// Process-wide pool for the setup path (ingest -> partition -> build).
-/// Created on first use with hardware_concurrency workers and shared by
-/// every setup-stage API; each call bounds its own parallelism by splitting
-/// work into `ranges` slices (see parallel_ranges), so a wide pool never
-/// forces wide execution. Engines keep using their Cluster-owned pools.
-ThreadPool& setup_pool();
+/// The process-wide worker pool. Created on first use with
+/// hardware_concurrency workers and shared by the setup path (ingest ->
+/// partition -> build) and every sim::Cluster: each call bounds its own
+/// parallelism (parallel_ranges by its `ranges` count, a Cluster by its
+/// configured thread cap), so a wide pool never forces wide execution, and
+/// one set of threads serves the whole process.
+ThreadPool& shared_pool();
 
 /// Resolves a user-facing thread-count knob: 0 means hardware concurrency,
 /// anything else passes through.
-std::size_t resolve_setup_threads(std::size_t threads);
+std::size_t resolve_threads(std::size_t threads);
 
 /// Splits [0, n) into `ranges` contiguous slices and runs
-/// body(range_index, begin, end) for every non-empty slice, on setup_pool()
+/// body(range_index, begin, end) for every non-empty slice, on shared_pool()
 /// when ranges > 1 (inline otherwise). The decomposition depends only on
 /// (n, ranges), and callers merge per-range results in range order (or use
 /// commutative folds), so results are bit-identical for any pool width.

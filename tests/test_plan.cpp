@@ -6,6 +6,7 @@
 // Merkle stage memo.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "lazygraph.hpp"
@@ -180,6 +181,26 @@ TEST(Executor, ZeroRedundantPartitionsAcrossViews) {
   const auto st = cache.stats();
   EXPECT_EQ(st.assignment_misses, 2u);
   EXPECT_EQ(st.dgraph_misses, 2u);
+}
+
+// The lowering's metrics report the peak engine state over its group runs
+// (each run stamps state_bytes on its own RunResult, not on the cluster).
+TEST(Executor, ReportsPeakEngineStateOverGroups) {
+  const Graph g = test_graph();
+  plan::LowerOptions opts;
+  opts.default_engine = EngineKind::kSync;
+  const auto state_of = [&](const char* text) {
+    partition::ArtifactCache cache;
+    plan::Executor ex = make_executor(g, &cache);
+    const auto res = ex.run(plan::Pipeline::parse(text), opts);
+    EXPECT_TRUE(res.converged) << text;
+    return res.metrics.state_bytes;
+  };
+  const std::uint64_t cc = state_of("cc");
+  const std::uint64_t pagerank = state_of("pagerank(0.001)");
+  EXPECT_GT(cc, 0u);
+  EXPECT_GT(pagerank, 0u);
+  EXPECT_EQ(state_of("cc|pagerank(0.001)"), std::max(cc, pagerank));
 }
 
 TEST(Executor, StageMemoReplaysRepeatedLowering) {

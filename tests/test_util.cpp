@@ -321,5 +321,57 @@ TEST(Options, DefaultsWhenMissing) {
   EXPECT_FALSE(o.get_bool("missing", false));
 }
 
+// Malformed or out-of-range numbers are errors that name the flag, never a
+// silent 0 (`--machines=abc` used to parse as 0).
+TEST(Options, RejectsMalformedIntegers) {
+  for (const char* bad : {"--machines=abc", "--machines=12x", "--machines=",
+                          "--machines= 4", "--machines=4.5"}) {
+    const char* argv[] = {"prog", bad};
+    Options o(2, argv);
+    try {
+      o.get_int("machines", 8);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const OptionError& e) {
+      EXPECT_NE(std::string(e.what()).find("--machines"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Options, RejectsOutOfRangeIntegers) {
+  const char* argv[] = {"prog", "--huge=99999999999999999999", "--m=0",
+                        "--n=65", "--neg=-3", "--ok=64"};
+  Options o(6, argv);
+  EXPECT_THROW(o.get_int("huge", 0), OptionError);
+  EXPECT_THROW(o.get_int("m", 8, 1, 64), OptionError);
+  EXPECT_THROW(o.get_int("n", 8, 1, 64), OptionError);
+  EXPECT_THROW(o.get_int("neg", 0, 0), OptionError);
+  EXPECT_EQ(o.get_int("neg", 0), -3);
+  EXPECT_EQ(o.get_int("ok", 8, 1, 64), 64);
+  try {
+    o.get_int("m", 8, 1, 64);
+  } catch (const OptionError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "--m: 0 is out of range (must be [1, 64])");
+  }
+}
+
+TEST(Options, RejectsMalformedAndNonFiniteDoubles) {
+  const char* argv[] = {"prog", "--a=abc", "--b=0.5x", "--c=1e999",
+                        "--d=nan", "--e=", "--f=2.5e-3"};
+  Options o(7, argv);
+  for (const char* key : {"a", "b", "c", "d", "e"}) {
+    try {
+      o.get_double(key, 1.0);
+      ADD_FAILURE() << key << " was accepted";
+    } catch (const OptionError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(std::string("--") + key + ":", 0),
+                0u)
+          << e.what();
+    }
+  }
+  EXPECT_DOUBLE_EQ(o.get_double("f", 1.0), 2.5e-3);
+}
+
 }  // namespace
 }  // namespace lazygraph

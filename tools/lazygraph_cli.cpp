@@ -20,7 +20,8 @@
 //                        staging; adaptive picks per machine per sweep from
 //                        frontier density. Results are bit-identical across
 //                        directions.
-//   --ingest-threads=N   setup-path threads for load/partition/build
+//   --ingest-threads=N   setup-path threads for load/partition/build, and
+//                        with --pipeline the executor's machine fan-out
 //                        (default 1; 0 = hardware concurrency; the output is
 //                        bit-identical at any value)
 //   --trace[=FILE]       write the run's JSONL trace to FILE (trace.jsonl)
@@ -54,12 +55,16 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <limits>
 
 #include "lazygraph.hpp"
 
 using namespace lazygraph;
 
 namespace {
+
+// Upper bound for flags stored in 32-bit fields.
+constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
 
 partition::CutKind parse_cut(const std::string& s) {
   if (s == "random") return partition::CutKind::kRandom;
@@ -83,14 +88,14 @@ int main(int argc, char** argv) try {
   const auto kind =
       engine::engine_kind_from_string(opts.get("engine", "lazy-block"));
   const auto machines =
-      static_cast<machine_t>(opts.get_int("machines", 16));
+      static_cast<machine_t>(opts.get_int("machines", 16, 1, 64));
   const auto cut = parse_cut(opts.get("cut", "coordinated"));
   const bool want_split =
       opts.get_bool("split", kind == engine::EngineKind::kLazyBlock ||
                                  kind == engine::EngineKind::kLazyVertex);
 
   const auto ingest_threads =
-      static_cast<std::size_t>(opts.get_int("ingest-threads", 1));
+      static_cast<std::size_t>(opts.get_int("ingest-threads", 1, 0));
 
   sim::Tracer tracer;
   const bool want_perf = opts.has("perf-report");
@@ -125,7 +130,8 @@ int main(int argc, char** argv) try {
     plan::LowerOptions lopts;
     lopts.default_engine = kind;
     lopts.threads_per_machine =
-        static_cast<std::uint32_t>(opts.get_int("threads-per-machine", 1));
+        static_cast<std::uint32_t>(
+            opts.get_int("threads-per-machine", 1, 0, kMaxU32));
     lopts.sweep =
         engine::sweep_direction_from_string(opts.get("sweep", "adaptive"));
     if (opts.get_bool("split", false)) lopts.split = {.t_extra = 0.001};
@@ -137,7 +143,7 @@ int main(int argc, char** argv) try {
     plan::Executor exec(
         std::move(g), machines,
         {.kind = cut,
-         .seed = static_cast<std::uint64_t>(opts.get_int("seed", 7)),
+         .seed = static_cast<std::uint64_t>(opts.get_int("seed", 7, 0)),
          .threads = ingest_threads},
         &partition::ArtifactCache::global(), ingest_threads);
     const plan::PipelineResult res = exec.run(pipe, lopts);
@@ -193,7 +199,7 @@ int main(int argc, char** argv) try {
   const auto assignment = partition::assign_edges(
       g, machines,
       {.kind = cut,
-       .seed = static_cast<std::uint64_t>(opts.get_int("seed", 7)),
+       .seed = static_cast<std::uint64_t>(opts.get_int("seed", 7, 0)),
        .threads = ingest_threads});
   const double partition_wall = seconds_since(t_partition);
   std::vector<std::uint64_t> split;
@@ -229,11 +235,13 @@ int main(int argc, char** argv) try {
   cfg.kind = kind;
   if (want_trace) cfg.tracer = &tracer;
   cfg.threads_per_machine =
-      static_cast<std::uint32_t>(opts.get_int("threads-per-machine", 1));
+      static_cast<std::uint32_t>(
+          opts.get_int("threads-per-machine", 1, 0, kMaxU32));
   cfg.sweep = engine::sweep_direction_from_string(opts.get("sweep", "adaptive"));
 
-  const auto source = static_cast<vid_t>(opts.get_int("source", 0));
-  const auto top = static_cast<std::size_t>(opts.get_int("top", 5));
+  const auto source =
+      static_cast<vid_t>(opts.get_int("source", 0, 0, kMaxU32));
+  const auto top = static_cast<std::size_t>(opts.get_int("top", 5, 0));
 
   bool converged = false;
   std::uint64_t supersteps = 0;
@@ -272,7 +280,8 @@ int main(int argc, char** argv) try {
     for (vid_t v = 0; v < g.num_vertices(); ++v) ++sizes[r.data[v].label];
     std::cout << "components: " << sizes.size() << "\n";
   } else if (algo == "kcore") {
-    const auto k = static_cast<std::uint32_t>(opts.get_int("k", 5));
+    const auto k =
+        static_cast<std::uint32_t>(opts.get_int("k", 5, 0, kMaxU32));
     const auto r = engine::run(cfg, dg, algos::KCore{.k = k}, cluster);
     converged = r.converged;
     supersteps = r.supersteps;
@@ -324,7 +333,7 @@ int main(int argc, char** argv) try {
               << path << "\n";
   }
   if (opts.has("trace-summary")) {
-    auto k = static_cast<std::size_t>(opts.get_int("trace-summary", 10));
+    auto k = static_cast<std::size_t>(opts.get_int("trace-summary", 10, 0));
     if (k == 0) k = 10;  // non-numeric values parse as 0
     if (!tracer.setup_spans().empty()) {
       std::cout << "\nsetup stages (wall-clock, " << ingest_threads

@@ -10,9 +10,12 @@
 // the minimized case are dumped in replayable text form; with
 // --dump-dir=DIR the minimized case is also written to a file. Exit status
 // is the number of failing scenarios (capped at --max-failures, default 3).
+// A malformed or out-of-range flag value exits 2 with a message naming
+// the flag.
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "testing/oracle.hpp"
@@ -21,6 +24,8 @@
 #include "util/options.hpp"
 
 namespace {
+
+constexpr std::int64_t kMaxInt = std::numeric_limits<int>::max();
 
 using lazygraph::testing::OracleOptions;
 using lazygraph::testing::Scenario;
@@ -49,7 +54,7 @@ int replay(const std::string& file, const OracleOptions& oracle_opts) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const lazygraph::Options opt(argc, argv);
   OracleOptions oracle_opts;
   oracle_opts.check_determinism = opt.get_bool("determinism", true);
@@ -57,17 +62,18 @@ int main(int argc, char** argv) {
   if (opt.has("replay")) return replay(opt.get("replay", ""), oracle_opts);
 
   const std::uint64_t seed =
-      static_cast<std::uint64_t>(opt.get_int("seed", 1));
+      static_cast<std::uint64_t>(opt.get_int("seed", 1, 0));
   const std::uint64_t iters =
-      static_cast<std::uint64_t>(opt.get_int("iters", 100));
+      static_cast<std::uint64_t>(opt.get_int("iters", 100, 0));
   const bool do_shrink = opt.get_bool("shrink", true);
   const bool verbose = opt.get_bool("verbose", false);
-  const int max_failures = static_cast<int>(opt.get_int("max-failures", 3));
+  const int max_failures = static_cast<int>(
+      opt.get_int("max-failures", 3, 0, kMaxInt));
   const std::string dump_dir = opt.get("dump-dir", "");
 
   std::uint64_t first = 0, last = iters;
   if (opt.has("only")) {
-    first = static_cast<std::uint64_t>(opt.get_int("only", 0));
+    first = static_cast<std::uint64_t>(opt.get_int("only", 0, 0));
     last = first + 1;
   }
 
@@ -111,4 +117,7 @@ int main(int argc, char** argv) {
 
   std::cout << (last - first) << " scenarios, " << failures << " failures\n";
   return failures == 0 ? 0 : 1;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 }

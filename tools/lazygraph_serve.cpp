@@ -29,6 +29,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "lazygraph.hpp"
@@ -36,6 +37,9 @@
 using namespace lazygraph;
 
 namespace {
+
+// Upper bound for flags stored in 32-bit fields.
+constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
 
 partition::CutKind parse_cut(const std::string& s) {
   if (s == "random") return partition::CutKind::kRandom;
@@ -72,10 +76,10 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 int main(int argc, char** argv) try {
   const Options opts(argc, argv);
   const auto machines =
-      static_cast<machine_t>(opts.get_int("machines", 8));
+      static_cast<machine_t>(opts.get_int("machines", 8, 1, 64));
   const auto cut = parse_cut(opts.get("cut", "coordinated"));
   const auto ingest_threads =
-      static_cast<std::size_t>(opts.get_int("ingest-threads", 1));
+      static_cast<std::size_t>(opts.get_int("ingest-threads", 1, 0));
   const auto kind =
       engine::engine_kind_from_string(opts.get("engine", "lazy-block"));
 
@@ -97,14 +101,15 @@ int main(int argc, char** argv) try {
 
   // Traffic. Generated before the build so a traffic mistake fails fast.
   serve::TrafficOptions traffic;
-  traffic.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
+  traffic.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1, 0));
   traffic.num_queries =
-      static_cast<std::uint32_t>(opts.get_int("queries", 64));
+      static_cast<std::uint32_t>(opts.get_int("queries", 64, 0, kMaxU32));
   traffic.rate_qps = opts.get_double("rate", 100.0);
   traffic.zipf_skew = opts.get_double("zipf", 1.0);
-  traffic.tenants = static_cast<std::uint32_t>(opts.get_int("tenants", 4));
-  traffic.kcore_max_k =
-      static_cast<std::uint32_t>(opts.get_int("kcore-max-k", 5));
+  traffic.tenants = static_cast<std::uint32_t>(
+      opts.get_int("tenants", 4, 0, kMaxU32));
+  traffic.kcore_max_k = static_cast<std::uint32_t>(
+      opts.get_int("kcore-max-k", 5, 0, kMaxU32));
   if (opts.has("families")) {
     apply_family_list(traffic, opts.get("families", ""));
   }
@@ -115,7 +120,7 @@ int main(int argc, char** argv) try {
   // graph, shared with anything else using the same cache in-process.
   partition::ArtifactCache& cache = partition::ArtifactCache::global();
   const auto budget_mb =
-      static_cast<std::uint64_t>(opts.get_int("cache-budget-mb", 0));
+      static_cast<std::uint64_t>(opts.get_int("cache-budget-mb", 0, 0));
   if (budget_mb > 0) cache.set_byte_budget(budget_mb * 1024 * 1024);
 
   const bool lazy_engine = kind == engine::EngineKind::kLazyBlock ||
@@ -128,7 +133,8 @@ int main(int argc, char** argv) try {
   const auto dg = cache.dgraph(
       g, machines,
       {.kind = cut,
-       .seed = static_cast<std::uint64_t>(opts.get_int("partition-seed", 7)),
+       .seed = static_cast<std::uint64_t>(
+           opts.get_int("partition-seed", 7, 0)),
        .threads = ingest_threads},
       split, ingest_threads);
   const double setup_wall = seconds_since(t_build);
@@ -144,15 +150,16 @@ int main(int argc, char** argv) try {
   serve::ServeOptions sopts;
   sopts.run.kind = kind;
   sopts.run.threads_per_machine =
-      static_cast<std::uint32_t>(opts.get_int("threads-per-machine", 1));
+      static_cast<std::uint32_t>(
+          opts.get_int("threads-per-machine", 1, 0, kMaxU32));
   sopts.run.staleness =
-      static_cast<std::uint32_t>(opts.get_int("staleness", 4));
+      static_cast<std::uint32_t>(opts.get_int("staleness", 4, 0, kMaxU32));
   if (want_trace) sopts.run.tracer = &tracer;
   sopts.policy.max_lanes =
-      static_cast<std::uint32_t>(opts.get_int("max-lanes", 16));
+      static_cast<std::uint32_t>(opts.get_int("max-lanes", 16, 0, kMaxU32));
   sopts.policy.max_wait_seconds = opts.get_double("max-wait", 0.05);
   sopts.cluster_threads =
-      static_cast<std::size_t>(opts.get_int("cluster-threads", 1));
+      static_cast<std::size_t>(opts.get_int("cluster-threads", 1, 0));
   sopts.diffusion_alpha = opts.get_double("alpha", 0.5);
   sopts.diffusion_tol = opts.get_double("tol", 1e-7);
   sopts.verify_solo = opts.get_bool("verify", false);
