@@ -78,65 +78,19 @@ void BM_LazyPagerank(benchmark::State& state) {
 }
 BENCHMARK(BM_LazyPagerank)->Arg(8)->Arg(48)->Unit(benchmark::kMillisecond);
 
-// The sweep-scaling cell (CI uploads its JSON as BENCH_sweep.json): one
-// all-active chunked apply+scatter sweep on a single machine holding the
-// full test graph, at 1/2/4/8 intra-machine threads. Items/sec ~ swept
-// edges/sec; the thread scaling is the tentpole's headline number.
-void BM_SweepScaling(benchmark::State& state) {
-  const auto tpm = static_cast<std::uint32_t>(state.range(0));
-  const Graph& g = test_graph();
-  const machine_t machines = 1;
-  const auto assignment = partition::assign_edges(
-      g, machines, {partition::CutKind::kCoordinated, 1});
-  const auto dg = partition::DistributedGraph::build(g, machines, assignment);
-  const partition::Part& part = dg.part(0);
-  sim::Cluster cluster({machines, {}, 0});
-  const algos::PageRankDelta prog{};
-  auto states = engine::make_states(dg, prog);
-  engine::PartState<algos::PageRankDelta>& s = states[0];
-  engine::SweepCounters last = {};
-  for (auto _ : state) {
-    state.PauseTiming();
-    for (lvid_t v = 0; v < part.num_local(); ++v) {
-      engine::deposit_msg(prog, s, v, 1.0);
-    }
-    state.ResumeTiming();
-    last = engine::local_sweep(prog, part, s, engine::SweepMode::kSnapshot,
-                               {&cluster, tpm});
-    benchmark::DoNotOptimize(last);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(part.num_local_edges()));
-  // Deterministic per-sweep work counters: identical across the tpm args
-  // (the sweep is bit-identical at any thread count), so the bench gate can
-  // pin them exactly while time_per_sweep varies with the machine.
-  state.counters["sweep_work"] = static_cast<double>(last.work);
-  state.counters["sweep_applies"] = static_cast<double>(last.applies);
-  state.counters["sweep_scanned"] = static_cast<double>(last.scanned);
-}
-BENCHMARK(BM_SweepScaling)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-// One BM_SweepDirection cell body: rebuilds pristine state each iteration
+// One BM_SnapshotSweep cell body: rebuilds pristine state each iteration
 // (outside the timed region) so every sweep sees the identical frontier —
 // seeded at every stride-th vertex — and the recorded counters are
 // iteration-count-invariant.
 template <class P>
-engine::SweepCounters sweep_direction_cell(benchmark::State& state,
-                                           const P& prog, lvid_t stride) {
+engine::SweepCounters snapshot_sweep_cell(benchmark::State& state,
+                                          const P& prog, lvid_t stride) {
   const Graph& g = test_graph();
   const machine_t machines = 1;
   const auto assignment = partition::assign_edges(
       g, machines, {partition::CutKind::kCoordinated, 1});
   const auto dg = partition::DistributedGraph::build(g, machines, assignment);
   const partition::Part& part = dg.part(0);
-  sim::Cluster cluster({machines, {}, 0});
-  const auto dir =
-      static_cast<engine::SweepDirection>(static_cast<int>(state.range(1)));
   auto states = engine::make_states(dg, prog);
   engine::SweepCounters last = {};
   for (auto _ : state) {
@@ -145,13 +99,12 @@ engine::SweepCounters sweep_direction_cell(benchmark::State& state,
     for (lvid_t v = 0; v < part.num_local(); v += stride) {
       // 2.0 (not 1.0): pagerank-delta's init pending_delta is -0.85, and an
       // accum of exactly 1.0 would cancel it — no vertex would scatter and
-      // the "dense" cell would stage nothing in either direction.
+      // the dense cell would push nothing.
       engine::deposit_msg(prog, states[0], v, 2.0);
     }
     state.ResumeTiming();
     last = engine::local_sweep(prog, part, states[0],
-                               engine::SweepMode::kSnapshot, {&cluster, 4},
-                               dir);
+                               engine::SweepMode::kSnapshot);
     benchmark::DoNotOptimize(last);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -159,36 +112,24 @@ engine::SweepCounters sweep_direction_cell(benchmark::State& state,
   return last;
 }
 
-// The direction-optimizing cell (rides in BENCH_sweep.json): one chunked
-// snapshot sweep at 4 threads on the single-machine test graph. arg0 is the
-// frontier shape — 0 = dense (pagerank-delta, every vertex seeded), 1 =
-// sparse (sssp, every 128th vertex seeded); arg1 is the direction — 0 push,
-// 1 pull, 2 adaptive. sweep_cost is the direction-sensitive work model
-// (work + 2*staged + pulled: push pays a staging write and an ordered-merge
-// read per emitted edge; pull pays one in-edge scan per slot). Acceptance
-// (gated as shape checks): adaptive's cost never exceeds the better forced
-// direction on either cell, and pull stages nothing on the dense cell.
-void BM_SweepDirection(benchmark::State& state) {
+// The snapshot-sweep cell (CI uploads its JSON as BENCH_sweep.json): one
+// serial snapshot apply+scatter sweep on a single machine holding the full
+// test graph. arg is the frontier shape — 0 = dense (pagerank-delta, every
+// vertex seeded), 1 = sparse (sssp, every 128th vertex seeded). Items/sec
+// ~ swept edges/sec; the work counters are deterministic, so the bench gate
+// pins them exactly.
+void BM_SnapshotSweep(benchmark::State& state) {
   engine::SweepCounters last = {};
   if (state.range(0) == 0) {
-    last = sweep_direction_cell(state, algos::PageRankDelta{}, 1);
+    last = snapshot_sweep_cell(state, algos::PageRankDelta{}, 1);
   } else {
-    last = sweep_direction_cell(state, algos::SSSP{.source = 0}, 128);
+    last = snapshot_sweep_cell(state, algos::SSSP{.source = 0}, 128);
   }
   state.counters["sweep_work"] = static_cast<double>(last.work);
-  state.counters["sweep_staged"] = static_cast<double>(last.staged);
-  state.counters["sweep_pulled"] = static_cast<double>(last.pulled);
-  state.counters["sweep_cost"] =
-      static_cast<double>(last.work + 2 * last.staged + last.pulled);
+  state.counters["sweep_applies"] = static_cast<double>(last.applies);
+  state.counters["sweep_scanned"] = static_cast<double>(last.scanned);
 }
-BENCHMARK(BM_SweepDirection)
-    ->Args({0, 0})
-    ->Args({0, 1})
-    ->Args({0, 2})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({1, 2})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SnapshotSweep)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // The exchange-codec cell (rides in BENCH_sweep.json next to the sweep
 // cell): a full lazy-block pagerank run at 8 machines, arg = the

@@ -4,9 +4,10 @@
 // The bitset does not own memory: PartState carves `words_for(n)` 64-bit
 // words per flag set out of its slab and attach()es views. Writes go through
 // a proxy that RMWs the containing word with relaxed std::atomic_ref ops:
-// parallel sweep chunks set/clear flags of *distinct* vertices concurrently,
-// and distinct bits of one word commute under fetch_or/fetch_and — so the
-// result is bit-identical to the serial order regardless of interleaving.
+// concurrent machine bodies (e.g. lazy-block masters delivering into their
+// replicas on other machines) set/clear flags of *distinct* vertices, and
+// distinct bits of one word commute under fetch_or/fetch_and — so the result
+// is bit-identical to the serial order regardless of interleaving.
 // Reads by the owning machine are plain loads: every such reader runs after
 // the writers' fork/join barrier (pool join or serial loop), which gives
 // happens-before. A read from another machine's phase body uses load(): the

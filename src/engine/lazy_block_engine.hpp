@@ -20,12 +20,9 @@
 // The adaptive interval model (Section 4.2.1) decides when lazy mode turns
 // on; per Algorithm 1 line 16 it is sticky once enabled.
 //
-// All sweeps are frontier-driven, and threads_per_machine > 1 runs them
-// chunk-parallel. Note the thread budget is an *algorithm* knob here (like
-// staleness): a parallel Stage 1 uses snapshot sub-sweeps instead of
-// Gauss-Seidel ones, which changes the (equally valid) intermediate
-// schedules — but for any fixed budget the run is bit-deterministic across
-// cluster thread counts.
+// All sweeps are frontier-driven and serial within a machine; machines run
+// concurrently, so the run is bit-deterministic across cluster thread
+// counts.
 #pragma once
 
 #include <algorithm>
@@ -43,11 +40,9 @@
 
 namespace lazygraph::engine {
 
-/// Reads max_supersteps, interval, comm_policy, threads_per_machine (values
-/// > 1 switch Stage 1 to snapshot sub-sweeps, see above) and sweep (the
-/// chunked sweeps' direction; serial Gauss-Seidel sub-sweeps are push by
-/// definition) from the RunConfig. The interval model's E/V ratio is the
-/// graph's user view (DistributedGraph::user_ev_ratio).
+/// Reads max_supersteps, interval and comm_policy from the RunConfig. The
+/// interval model's E/V ratio is the graph's user view
+/// (DistributedGraph::user_ev_ratio).
 template <VertexProgram P>
 class LazyBlockAsyncEngine {
  public:
@@ -92,20 +87,17 @@ class LazyBlockAsyncEngine {
     exch_bytes_.assign(p, 0);
     exch_up_coders_.assign(std::size_t{p} * p, {});
     exch_down_coders_.assign(std::size_t{p} * p, {});
-    const SweepExec exec{&cluster_, cfg_.threads_per_machine};
     recovery::Recoverer<P> recoverer(cluster_, dg_);
 
     RunResult<P> result;
     std::vector<std::uint64_t> work(p), subiters(p);
-    // Per-machine sweep tallies for one phase of the superstep. A machine
-    // votes on the superstep's direction only for sweeps that did work or
-    // pulled.
-    std::vector<SweepTally> tally(p);
-    auto fold_tallies = [&](int& dir) {
-      for (const SweepTally& t : tally) {
-        cluster_.metrics().applies += t.sum.applies;
-        cluster_.metrics().sweep_scanned += t.sum.scanned;
-        fold_sweep(cluster_.metrics(), t, dir);
+    // Per-machine sweep counters for one phase of the superstep.
+    std::vector<SweepCounters> sweeps(p);
+    auto add_sweep_counters = [&] {
+      for (const SweepCounters& c : sweeps) {
+        cluster_.metrics().applies += c.applies;
+        cluster_.metrics().sweep_scanned += c.scanned;
+        cluster_.metrics().sweep_edges_pushed += c.pushed;
       }
     };
     bool do_local = false;  // the paper's first iteration skips Stage 1
@@ -114,13 +106,12 @@ class LazyBlockAsyncEngine {
       ++cluster_.metrics().supersteps;
       ++result.supersteps;
       const double iter_start_seconds = cluster_.metrics().sim_seconds();
-      int dir = -1;
 
       // ---- Stage 1: local computation. ----
       if (do_local) {
         std::fill(work.begin(), work.end(), 0);
         std::fill(subiters.begin(), subiters.end(), 0);
-        std::fill(tally.begin(), tally.end(), SweepTally{});
+        std::fill(sweeps.begin(), sweeps.end(), SweepCounters{});
         const double first_iter_seconds = first_iter_seconds_;
         cluster_.parallel_machines([&](machine_t m) {
           const partition::Part& part = dg_.part(m);
@@ -128,9 +119,9 @@ class LazyBlockAsyncEngine {
           std::uint64_t budget = 0;
           bool first = true;
           for (;;) {
-            const SweepCounters c = local_sweep(
-                prog_, part, s, SweepMode::kGaussSeidel, exec, cfg_.sweep);
-            tally[m].add(c, c.work != 0 || c.pull_rounds != 0);
+            const SweepCounters c =
+                local_sweep(prog_, part, s, SweepMode::kGaussSeidel);
+            sweeps[m] += c;
             if (c.work == 0) break;
             work[m] += c.work;
             ++subiters[m];
@@ -146,7 +137,7 @@ class LazyBlockAsyncEngine {
         for (machine_t m = 0; m < p; ++m) {
           cluster_.metrics().local_subiterations += subiters[m];
         }
-        fold_tallies(dir);
+        add_sweep_counters();
       }
 
       // ---- Stage 2: data coherency. ----
@@ -156,8 +147,7 @@ class LazyBlockAsyncEngine {
       std::uint64_t active = 0;
       for (machine_t m = 0; m < p; ++m) active += states_[m].count_msgs();
       if (active == 0) {
-        record_superstep_snapshot(result.supersteps, active, do_local, comm,
-                                  dir);
+        record_superstep_snapshot(result.supersteps, active, do_local, comm);
         // The exchange delivered nothing and no messages are pending: the
         // previous coherency point's view is still the global one.
         if (inspector_) inspector_(result.supersteps, states_);
@@ -173,22 +163,15 @@ class LazyBlockAsyncEngine {
       // Batch (snapshot) semantics per Algorithm 1: every vertex applies its
       // complete merged accumulator exactly once.
       cluster_.parallel_machines([&](machine_t m) {
-        const SweepCounters c =
-            local_sweep(prog_, dg_.part(m), states_[m], SweepMode::kSnapshot,
-                        exec, cfg_.sweep);
-        work[m] = c.work;
-        tally[m] = {};
-        tally[m].add(c, c.work != 0 || c.pull_rounds != 0);
+        sweeps[m] = local_sweep(prog_, dg_.part(m), states_[m],
+                                SweepMode::kSnapshot);
+        work[m] = sweeps[m].work;
       });
       cluster_.charge_compute(sim::SpanKind::kApplySweep, work);
-      fold_tallies(dir);
-      // Recorded after the coherency sweep so the snapshot's direction covers
-      // every sweep of this superstep (Stage 1 sub-sweeps and the coherency
-      // apply+scatter). Snapshot contents are otherwise unchanged: the
-      // interval/comm decisions above are already fixed, and the step-0
+      add_sweep_counters();
+      // The interval/comm decisions above are already fixed, and the step-0
       // T calibration below has not run yet.
-      record_superstep_snapshot(result.supersteps, active, do_local, comm,
-                                dir);
+      record_superstep_snapshot(result.supersteps, active, do_local, comm);
       if (inspector_) inspector_(result.supersteps, states_);
 
       // "We collect the execution time T of the first iteration ... online":
@@ -213,8 +196,7 @@ class LazyBlockAsyncEngine {
   /// model's verdict and trend, the measured T behind the 3T budget, and the
   /// comm-mode selection with its fitted-curve predictions.
   void record_superstep_snapshot(std::uint64_t superstep, std::uint64_t active,
-                                 bool lazy_on, const CommDecision& comm,
-                                 int sweep_dir) {
+                                 bool lazy_on, const CommDecision& comm) {
     sim::Tracer* t = cluster_.tracer();
     if (!t) return;
     sim::SuperstepSnapshot snap;
@@ -225,7 +207,6 @@ class LazyBlockAsyncEngine {
     snap.measured_t_seconds = first_iter_seconds_;
     snap.comm_mode = static_cast<int>(comm.mode);
     snap.prediction = comm.prediction;
-    snap.sweep_dir = sweep_dir;
     t->record_superstep(snap);
   }
 

@@ -11,7 +11,6 @@
 
 #include "engine/comm_mode.hpp"
 #include "engine/interval_model.hpp"
-#include "engine/sweep_direction.hpp"
 #include "sim/trace.hpp"
 #include "util/common.hpp"
 
@@ -56,16 +55,6 @@ struct RunConfig {
   std::uint64_t max_supersteps = 1'000'000;
   /// Optional span/snapshot recorder, attached to the cluster for the run.
   sim::Tracer* tracer = nullptr;
-  /// Intra-machine thread budget for the engines' local sweeps (sync and
-  /// lazy-block). Purely an execution knob for sync; for lazy-block, values
-  /// > 1 also switch Stage 1 to snapshot sub-sweeps (an algorithm knob) —
-  /// either way results are bit-deterministic for a fixed value.
-  std::uint32_t threads_per_machine = 1;
-  /// Direction policy for the chunk-parallel local sweeps (sync scatter and
-  /// lazy-block Stage 1 / coherency sweeps): push staging, CSC pull, or the
-  /// adaptive frontier-density rule. The serial Gauss-Seidel engines (async,
-  /// lazy-vertex) are push by definition and ignore it.
-  SweepDirection sweep = SweepDirection::kAdaptive;
 
   // --- lazy-block ---
   IntervalModelConfig interval = {};

@@ -1,8 +1,8 @@
 // Per-machine runtime state shared by all engines: the paper's vdata[v],
 // message[v], deltaMsg[v] tables (Section 3.2) plus scatter-payload staging
 // used by the eager engines' master->mirror broadcasts, the active-vertex
-// frontiers that make sparse supersteps cheap, and the pooled scratch the
-// chunked deterministic sweep reuses across supersteps.
+// frontiers that make sparse supersteps cheap, and the sweep scratch the
+// lazy engines' local sweeps reuse across supersteps.
 //
 // PartState is a slab arena: one cache-line-aligned allocation per simulated
 // machine carved into SoA sections (vdata | msg | delta | payload | four
@@ -66,27 +66,13 @@ struct SweepCounters {
   /// scan, frontier-entry count per sparse consumption. Sparse supersteps
   /// keep this O(frontier) instead of O(num_local).
   std::uint64_t scanned = 0;
-  // --- direction-attributed counters. work/applies/scanned above are
-  // identical for push and pull by construction (the directions do the same
-  // semantic work); these record HOW it was executed, for the perf report
-  // and the bench gate's sweep-cost model.
-  std::uint64_t staged = 0;  // (target,msg)+(target,delta) pairs staged (push)
-  std::uint64_t pushed = 0;  // out-edges emitted through the push emitter
-  std::uint64_t pulled = 0;  // in-edges scanned by the pull fold
-  std::uint64_t pull_rounds = 0;  // chunked sweeps executed pull-direction
-  /// Bytes the pull fold kept out of the staging buckets: one
-  /// (target, msg) pair per deposit push would have staged and merged.
-  std::uint64_t staging_avoided_bytes = 0;
+  std::uint64_t pushed = 0;   // out-edges scattered along
 
   SweepCounters& operator+=(const SweepCounters& o) {
     work += o.work;
     applies += o.applies;
     scanned += o.scanned;
-    staged += o.staged;
     pushed += o.pushed;
-    pulled += o.pulled;
-    pull_rounds += o.pull_rounds;
-    staging_avoided_bytes += o.staging_avoided_bytes;
     return *this;
   }
 };
@@ -109,98 +95,17 @@ struct InitInjection {
   const void* vdata = nullptr;
 };
 
-/// Pooled scratch for the sweep machinery, one instance per PartState so
-/// steady-state supersteps allocate nothing (every vector keeps its
-/// high-water capacity across sweeps).
+/// Per-machine sweep scratch, reserved at PartState::resize to hard bounds
+/// so steady-state sweeps never grow it. A fixed per-vertex cost like the
+/// slab, so SimMetrics::state_bytes leaves it out.
 template <class Msg>
 struct SweepScratch {
-  // Consumed-frontier snapshot (ascending lvids) and per-item accumulators.
+  // Consumed-frontier snapshot (ascending lvids) and its accumulators; at
+  // most every local vertex.
   std::vector<lvid_t> snapshot;
   std::vector<Msg> accums;
   // Gauss-Seidel worklist (binary min-heap of pending lvids).
   std::vector<lvid_t> heap;
-  // Chunk-private deposit buffers, linearized [chunk][target range]: workers
-  // stage (target, message) pairs here, the merge folds them in chunk order.
-  struct Bucket {
-    std::vector<std::pair<lvid_t, Msg>> msgs;
-    std::vector<std::pair<lvid_t, Msg>> deltas;
-  };
-  std::vector<Bucket> buckets;
-  std::vector<SweepCounters> chunk_counters;
-  // Fresh activations observed by each merge range (push) or target chunk
-  // (pull), appended to the frontiers serially after the join (frontier
-  // lists are not thread-safe).
-  std::vector<std::vector<lvid_t>> msg_activations;
-  std::vector<std::vector<lvid_t>> delta_activations;
-  // Edge-balanced chunk decomposition of the current sweep's item list:
-  // bounds[c]..bounds[c+1] are the items of chunk c, closed at a fixed
-  // cumulative (1 + out-degree) budget; edges[c] is the chunk's weight (the
-  // bucket reserve hint). Degree-derived, so identical across thread counts.
-  std::vector<std::size_t> chunk_bounds;
-  std::vector<std::uint64_t> chunk_edges;
-  // Static edge-balanced decomposition of the target id space for the pull
-  // fold, weighted by (1 + local in-degree); built once per part (empty =
-  // not built yet) since it does not depend on the frontier.
-  std::vector<std::size_t> target_bounds;
-  // Heaviest single item weight (1 + max local out-degree) on the part;
-  // computed once per part (0 = not computed). Bounds any chunk's weight at
-  // kSweepEdgeBudget - 1 + this, making the bucket reserve hint
-  // frontier-independent: the chunk -> bucket mapping shifts as the
-  // frontier shrinks, so a per-chunk hint would keep hitting cold buckets
-  // and reallocate in steady state.
-  std::uint64_t max_item_weight = 0;
-
-  // --- pool accounting (SimMetrics::state_bytes visibility + trim) ---
-  /// Peak capacity ever held by the grow-only staging pool; folded into
-  /// SimMetrics::state_bytes by finalize_result.
-  std::size_t pool_peak_bytes = 0;
-  /// Largest bytes any single sweep actually used (staged pairs, snapshot,
-  /// accumulators, activation lists): the pool's high-water working set.
-  std::size_t high_water_bytes = 0;
-
-  /// Capacity bytes currently retained by the pooled staging buffers. The
-  /// Gauss-Seidel heap is excluded: it is pre-reserved to a fixed hard bound
-  /// at resize() by design, not grow-only drift.
-  std::size_t pool_bytes() const {
-    constexpr std::size_t kPair = sizeof(std::pair<lvid_t, Msg>);
-    std::size_t b = snapshot.capacity() * sizeof(lvid_t) +
-                    accums.capacity() * sizeof(Msg) +
-                    buckets.capacity() * sizeof(Bucket) +
-                    chunk_counters.capacity() * sizeof(SweepCounters) +
-                    chunk_bounds.capacity() * sizeof(std::size_t) +
-                    chunk_edges.capacity() * sizeof(std::uint64_t) +
-                    target_bounds.capacity() * sizeof(std::size_t);
-    for (const Bucket& bk : buckets) {
-      b += (bk.msgs.capacity() + bk.deltas.capacity()) * kPair;
-    }
-    for (const auto& v : msg_activations) b += v.capacity() * sizeof(lvid_t);
-    for (const auto& v : delta_activations) {
-      b += v.capacity() * sizeof(lvid_t);
-    }
-    return b;
-  }
-
-  /// Per-sweep accounting hook: records the bytes this sweep actually used,
-  /// tracks the pool's peak footprint, and trims the pool when its retained
-  /// capacity exceeds 4x the high-water working set — pathological shape
-  /// drift (e.g. one huge early frontier followed by a sparse tail), never a
-  /// stable steady state. The trim swaps in empty vectors (deallocation
-  /// only, no allocation), so it is invisible to the allocation probes; the
-  /// pool re-grows lazily on the next sweep that needs it.
-  void note_sweep_usage(std::size_t used_bytes) {
-    if (used_bytes > high_water_bytes) high_water_bytes = used_bytes;
-    const std::size_t cap = pool_bytes();
-    if (cap > pool_peak_bytes) pool_peak_bytes = cap;
-    if (high_water_bytes > 0 && cap > 4 * high_water_bytes) {
-      for (Bucket& bk : buckets) {
-        std::vector<std::pair<lvid_t, Msg>>().swap(bk.msgs);
-        std::vector<std::pair<lvid_t, Msg>>().swap(bk.deltas);
-      }
-      std::vector<Bucket>().swap(buckets);
-      for (auto& v : msg_activations) std::vector<lvid_t>().swap(v);
-      for (auto& v : delta_activations) std::vector<lvid_t>().swap(v);
-    }
-  }
 };
 
 /// Per-machine runtime state on a single slab. Sections (each start aligned
@@ -257,10 +162,13 @@ struct PartState {
     if (slab_bytes_ > 0) std::memset(slab_, 0, slab_bytes_);
     frontier.reset(n);
     delta_frontier.reset(n);
-    // Pre-size the Gauss-Seidel worklist to its hard bound — every lvid
+    // Pre-size the sweep scratch to its hard bounds. The snapshot holds
+    // each pending lvid once. The Gauss-Seidel worklist holds every lvid
     // pending at once (activation is gated on the has_msg 0->1 transition,
     // so a live vertex enters the heap once per sweep) plus a full seed
-    // list of stale entries — so steady-state sweeps never grow it.
+    // list of stale entries.
+    scratch.snapshot.reserve(n);
+    scratch.accums.reserve(n);
     scratch.heap.reserve(static_cast<std::size_t>(n) +
                          frontier.sparse_capacity());
   }
@@ -394,7 +302,7 @@ VertexInfo vertex_info(const partition::Part& part, lvid_t v) {
 
 /// Sum-combines `m` into the message slot of `v` WITHOUT touching the
 /// frontier; returns whether this was a fresh (0->1) activation. For
-/// contexts that record activations out-of-band: parallel merge workers
+/// contexts that record activations out-of-band: cross-machine deliveries
 /// (frontier lists are not thread-safe) and folds whose flag is consumed
 /// before the next frontier derivation.
 template <VertexProgram P>
@@ -537,14 +445,9 @@ void finalize_result(RunResult<P>& result, const sim::Cluster& cluster,
   result.handoff = collect_touched(dg, states);
   result.metrics = cluster.metrics();
   // Peak resident vertex-state footprint: the slabs are sized once at
-  // make_states and never shrink, so the end-of-run sum is the peak; the
-  // sweep scratch pool's peak capacity (grow-only between trims) rides on
-  // top so staging memory is no longer invisible to the report.
+  // make_states and never shrink, so the end-of-run sum is the peak.
   result.metrics.state_bytes = 0;
-  for (const auto& s : states) {
-    result.metrics.state_bytes +=
-        s.slab_bytes() + s.scratch.pool_peak_bytes;
-  }
+  for (const auto& s : states) result.metrics.state_bytes += s.slab_bytes();
   result.trace = cluster.tracer();
 }
 

@@ -26,9 +26,7 @@
 //                         has_msg, then scatters its own list
 // Every fold runs in the order the serial engine used (pending ascending x
 // remote_replicas, scatter lists ascending), so data, supersteps and every
-// counter are bit-identical at any cluster thread count or
-// threads_per_machine budget (the scatter runs chunk-parallel within a
-// machine when that budget allows).
+// counter are bit-identical at any cluster thread count.
 #pragma once
 
 #include <algorithm>
@@ -45,9 +43,7 @@
 
 namespace lazygraph::engine {
 
-/// Reads max_supersteps, threads_per_machine (an execution knob here:
-/// results are bit-identical across budgets) and sweep (the scatter
-/// direction, likewise bit-identical) from the RunConfig.
+/// Reads max_supersteps from the RunConfig.
 template <VertexProgram P>
 class SyncEngine {
  public:
@@ -73,7 +69,6 @@ class SyncEngine {
     states_ = make_states(dg_, prog_, init_);
     cluster_.metrics().sweep_scanned +=
         init_eager_messages(prog_, dg_, states_, init_);
-    const SweepExec exec{&cluster_, cfg_.threads_per_machine};
     recovery::Recoverer<P> recoverer(cluster_, dg_);
 
     std::vector<MachineStep> steps = make_steps();
@@ -227,39 +222,25 @@ class SyncEngine {
           }
         }
         std::sort(list.begin(), list.end());  // ascending = old scan order
-        // Direction: the eager broadcast already parked every payload in the
-        // slab, so the pull fold reads straight from the payload slots.
-        // Either way the folded bits are identical (DESIGN §5k).
-        SweepCounters c;
-        if (sweep_pulls(part, list, cfg_.sweep)) {
-          c = pull_deposit_pass<false>(prog_, part, s, exec);
-          for (const lvid_t v : list) s.has_payload[v] = 0;
-        } else {
-          c = chunked_deposit_pass(
-              prog_, part, s, list.size(), exec,
-              [&](std::size_t i) { return list[i]; },
-              [&](std::size_t i, ChunkEmitter<Msg>& em, SweepCounters& cc) {
-                const lvid_t v = list[i];
-                s.has_payload[v] = 0;
-                const VertexInfo info = vertex_info<P>(part, v);
-                for (std::uint64_t e = part.offsets[v];
-                     e < part.offsets[v + 1]; ++e) {
-                  em.msg(part.targets[e],
-                         prog_.scatter(s.payload[v], info, part.weights[e]));
-                  ++cc.work;
-                }
-              });
+        // Serial push: deposits fold in emission order (list ascending, then
+        // out-edge order).
+        ms.pushed = 0;
+        for (const lvid_t v : list) {
+          s.has_payload[v] = 0;
+          const VertexInfo info = vertex_info<P>(part, v);
+          for (std::uint64_t e = part.offsets[v]; e < part.offsets[v + 1];
+               ++e) {
+            deposit_msg(prog_, s, part.targets[e],
+                        prog_.scatter(s.payload[v], info, part.weights[e]));
+            ++ms.pushed;
+          }
         }
-        // A machine with nothing to scatter ran no sweep: no vote.
-        ms.tally = {};
-        ms.tally.add(c, /*votes=*/!list.empty());
         ms.active = s.count_msgs();
       });
-      int dir_agg = -1;
       std::uint64_t active = 0;
       for (machine_t m = 0; m < p; ++m) {
-        fold_sweep(cluster_.metrics(), steps[m].tally, dir_agg);
-        work[m] = steps[m].applies + steps[m].tally.sum.work;
+        cluster_.metrics().sweep_edges_pushed += steps[m].pushed;
+        work[m] = steps[m].applies + steps[m].pushed;
         active += steps[m].active;
       }
       cluster_.charge_compute(sim::SpanKind::kEagerScatter, work);
@@ -268,8 +249,7 @@ class SyncEngine {
       // --- Global termination test: any message pending anywhere? ---
       if (sim::Tracer* t = cluster_.tracer()) {
         t->record_superstep({.superstep = result.supersteps,
-                            .active_vertices = active,
-                            .sweep_dir = dir_agg});
+                            .active_vertices = active});
       }
       if (inspector_) inspector_(result.supersteps, states_);
       // Coherency point: the eager broadcast just made all replicas
@@ -309,8 +289,7 @@ class SyncEngine {
     // As replica machine: payload-carrying replicas to scatter.
     std::vector<lvid_t> scatter;
     std::uint64_t scanned = 0, messages = 0, payloads = 0, wire = 0,
-                  applies = 0, active = 0;
-    SweepTally tally;
+                  applies = 0, pushed = 0, active = 0;
 
     void init(const partition::Part& part, machine_t p) {
       route.assign(p, {});

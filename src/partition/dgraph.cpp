@@ -283,32 +283,6 @@ DistributedGraph DistributedGraph::build(
       for (lvid_t v = 0; v < part.num_local(); ++v) {
         part.offsets[v + 1] += part.offsets[v];
       }
-      // In-edge CSC mirror: a counting sort of the CSR edges by target.
-      // Walking the CSR in (source lvid, edge index) order and appending at
-      // each target's cursor lands every target's in-edge run in exactly
-      // that order — the per-target fold order of the push sweep's ordered
-      // merge, which is what makes the pull sweep bit-identical. The stable
-      // sort above only ordered by src, so within one source the original
-      // global edge order survives into the CSR, and hence into this mirror.
-      part.in_offsets.assign(part.num_local() + 1, 0);
-      for (lvid_t v = 0; v < part.num_local(); ++v) {
-        part.in_offsets[v + 1] =
-            part.in_offsets[v] + part.local_in_degree[v];
-      }
-      part.in_sources.resize(edges.size());
-      part.in_weights.resize(edges.size());
-      part.in_parallel_mode.resize(edges.size());
-      std::vector<std::uint64_t> cursor(part.in_offsets.begin(),
-                                        part.in_offsets.end() - 1);
-      for (lvid_t v = 0; v < part.num_local(); ++v) {
-        for (std::uint64_t e = part.offsets[v]; e < part.offsets[v + 1];
-             ++e) {
-          const std::uint64_t at = cursor[part.targets[e]]++;
-          part.in_sources[at] = v;
-          part.in_weights[at] = part.weights[e];
-          part.in_parallel_mode[at] = part.parallel_mode[e];
-        }
-      }
     }
   });
 

@@ -35,17 +35,6 @@ struct Part {
   std::vector<float> weights;
   std::vector<std::uint8_t> parallel_mode;  // 1 = parallel-edges copy
 
-  // --- in-edge mirror, CSC by target lvid ---
-  // The same local edge multiset as the CSR above, grouped by target. Each
-  // target's in-edge run is ordered by (source lvid, original edge index):
-  // exactly the order the push sweep's chunk-and-ordered-merge folds that
-  // target's messages, so a pull sweep folding this run reproduces the push
-  // result bit-for-bit (see DESIGN §5k).
-  std::vector<std::uint64_t> in_offsets;  // size num_local()+1
-  std::vector<lvid_t> in_sources;
-  std::vector<float> in_weights;
-  std::vector<std::uint8_t> in_parallel_mode;
-
   lvid_t num_local() const { return static_cast<lvid_t>(gids.size()); }
   std::uint64_t num_local_edges() const { return targets.size(); }
   bool is_master(lvid_t v, machine_t self) const { return master[v] == self; }
@@ -53,10 +42,6 @@ struct Part {
 
   std::span<const lvid_t> out_neighbors(lvid_t v) const {
     return {targets.data() + offsets[v], targets.data() + offsets[v + 1]};
-  }
-  std::span<const lvid_t> in_neighbors(lvid_t v) const {
-    return {in_sources.data() + in_offsets[v],
-            in_sources.data() + in_offsets[v + 1]};
   }
 };
 

@@ -296,11 +296,9 @@ PipelineResult Executor::run(const Pipeline& pipe, const LowerOptions& opts) {
   key = mix_double(key, opts.split.teps);
   key = mix_double(key, opts.split.high_degree_percentile);
   key = mix(key, opts.split.low_degree_bound);
-  key = mix(key, opts.threads_per_machine);
   key = mix(key, opts.max_supersteps);
   key = mix(key, opts.staleness);
   key = mix(key, static_cast<std::uint64_t>(opts.comm_policy));
-  key = mix(key, static_cast<std::uint64_t>(opts.sweep));
   key = mix(key, static_cast<std::uint64_t>(opts.interval.policy));
   key = mix_double(key, opts.interval.ev_ratio_threshold);
   key = mix_double(key, opts.interval.trend_threshold);
@@ -463,11 +461,9 @@ PipelineResult Executor::run(const Pipeline& pipe, const LowerOptions& opts) {
     cfg.kind = kinds[grp.first];
     cfg.max_supersteps = opts.max_supersteps;
     cfg.tracer = opts.tracer;
-    cfg.threads_per_machine = opts.threads_per_machine;
     cfg.interval = opts.interval;
     cfg.comm_policy = opts.comm_policy;
     cfg.staleness = opts.staleness;
-    cfg.sweep = opts.sweep;
     cfg.initial_frontier = frontier;
 
     const ScopeMask mask =

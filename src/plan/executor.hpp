@@ -49,13 +49,10 @@ namespace lazygraph::plan {
 /// sequential_baseline).
 struct LowerOptions {
   engine::EngineKind default_engine = engine::EngineKind::kLazyBlock;
-  std::uint32_t threads_per_machine = 1;
   std::uint64_t max_supersteps = 1'000'000;
   std::uint32_t staleness = 4;                 // lazy-vertex
   engine::IntervalModelConfig interval = {};   // lazy-block
   engine::CommModePolicy comm_policy = engine::CommModePolicy::kAdaptive;
-  /// Sweep direction for every lowered engine run (see RunConfig::sweep).
-  engine::SweepDirection sweep = engine::SweepDirection::kAdaptive;
   /// Parallel-edges split plan baked into every view's build.
   partition::EdgeSplitterOptions split = {.enabled = false};
 

@@ -30,21 +30,6 @@ void Cluster::parallel_machines(util::FunctionRef<void(machine_t)> body) {
   }
 }
 
-void Cluster::run_chunks(
-    std::size_t n, std::size_t chunk_size, std::uint32_t threads,
-    util::FunctionRef<void(std::size_t, std::size_t)> body) const {
-  if (chunk_size == 0) chunk_size = 1;
-  if (threads_ > 1 && threads > 1 && n > chunk_size) {
-    shared_pool().parallel_for_chunks(
-        n, chunk_size, threads,
-        [&](std::size_t b, std::size_t e) { body(b, e); });
-    return;
-  }
-  for (std::size_t b = 0; b < n; b += chunk_size) {
-    body(b, std::min(n, b + chunk_size));
-  }
-}
-
 TraceSpan Cluster::make_span(SpanKind kind, double start_seconds) const {
   TraceSpan span;
   span.kind = kind;

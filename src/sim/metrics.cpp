@@ -17,10 +17,9 @@ SimMetrics& SimMetrics::operator+=(const SimMetrics& o) {
   m2m_exchanges += o.m2m_exchanges;
   vertex_coherency_events += o.vertex_coherency_events;
   sweep_scanned += o.sweep_scanned;
-  sweep_pull_rounds += o.sweep_pull_rounds;
   sweep_edges_pushed += o.sweep_edges_pushed;
+  sweep_pull_rounds += o.sweep_pull_rounds;
   sweep_edges_pulled += o.sweep_edges_pulled;
-  sweep_staging_avoided_bytes += o.sweep_staging_avoided_bytes;
   exchange_bytes_raw += o.exchange_bytes_raw;
   exchange_bytes_wire += o.exchange_bytes_wire;
   state_bytes = std::max(state_bytes, o.state_bytes);
@@ -64,13 +63,8 @@ void SimMetrics::print(std::ostream& os, const std::string& label) const {
        << "x state="
        << static_cast<double>(state_bytes) / (1024.0 * 1024.0) << "MB\n";
   }
-  if (sweep_edges_pushed > 0 || sweep_edges_pulled > 0) {
-    os << label << ": sweep_pushed=" << sweep_edges_pushed
-       << " sweep_pulled=" << sweep_edges_pulled
-       << " pull_rounds=" << sweep_pull_rounds << " staging_avoided="
-       << std::setprecision(3)
-       << static_cast<double>(sweep_staging_avoided_bytes) / (1024.0 * 1024.0)
-       << "MB\n";
+  if (sweep_edges_pushed > 0) {
+    os << label << ": sweep_pushed=" << sweep_edges_pushed << "\n";
   }
   if (recoveries > 0 || guard_bytes > 0) {
     os << std::setprecision(3) << label << ": recoveries=" << recoveries

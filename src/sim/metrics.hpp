@@ -27,15 +27,12 @@ struct SimMetrics {
   /// worklist machinery's effectiveness measure: sparse supersteps keep this
   /// near the frontier size instead of O(num_local) per sweep.
   std::uint64_t sweep_scanned = 0;
-  // --- sweep direction (push/pull) accounting. The two directions do the
-  // same semantic work (bit-identical state); these record how it was
-  // executed: how many chunked sweeps ran pull, how much edge traffic went
-  // through staged push emission vs direct in-edge folds, and how many
-  // staging-buffer bytes the pull folds never had to write-then-merge.
-  std::uint64_t sweep_pull_rounds = 0;
+  /// Out-edges the sync scatter and lazy-block sweeps pushed along.
   std::uint64_t sweep_edges_pushed = 0;
+  /// Always 0: every sweep pushes. Kept because the end-to-end benchmark
+  /// still reports them.
+  std::uint64_t sweep_pull_rounds = 0;
   std::uint64_t sweep_edges_pulled = 0;
-  std::uint64_t sweep_staging_avoided_bytes = 0;
   /// Exchange/broadcast/fine-grained traffic both ways of the wire codec:
   /// `raw` is the uncompressed-fallback size (kUncompressedHeaderBytes +
   /// payload per record), `wire` the delta-varint encoded size actually

@@ -70,12 +70,8 @@ Table PerfReport::totals_table() const {
   t.add_row({"applies", Table::num(metrics.applies)});
   t.add_row({"edge_traversals", Table::num(metrics.edge_traversals)});
   t.add_row({"sweep_scanned", Table::num(metrics.sweep_scanned)});
-  if (metrics.sweep_edges_pushed > 0 || metrics.sweep_edges_pulled > 0) {
+  if (metrics.sweep_edges_pushed > 0) {
     t.add_row({"sweep_edges_pushed", Table::num(metrics.sweep_edges_pushed)});
-    t.add_row({"sweep_edges_pulled", Table::num(metrics.sweep_edges_pulled)});
-    t.add_row({"sweep_pull_rounds", Table::num(metrics.sweep_pull_rounds)});
-    t.add_row({"staging_avoided_MB",
-               Table::num(mb(metrics.sweep_staging_avoided_bytes), 2)});
   }
   t.add_row({"network_MB", Table::num(metrics.network_mb(), 2)});
   t.add_row(
@@ -102,10 +98,6 @@ void PerfReport::write_json(std::ostream& os) const {
      << ",\"edge_traversals\":" << metrics.edge_traversals
      << ",\"sweep_scanned\":" << metrics.sweep_scanned
      << ",\"sweep_edges_pushed\":" << metrics.sweep_edges_pushed
-     << ",\"sweep_edges_pulled\":" << metrics.sweep_edges_pulled
-     << ",\"sweep_pull_rounds\":" << metrics.sweep_pull_rounds
-     << ",\"sweep_staging_avoided_bytes\":"
-     << metrics.sweep_staging_avoided_bytes
      << ",\"network_bytes\":" << metrics.network_bytes
      << ",\"exchange_bytes_raw\":" << metrics.exchange_bytes_raw
      << ",\"exchange_bytes_wire\":" << metrics.exchange_bytes_wire

@@ -18,8 +18,7 @@
 //     "sim_seconds": float,
 //     "supersteps": u64, "global_syncs": u64,
 //     "applies": u64, "edge_traversals": u64, "sweep_scanned": u64,
-//     "sweep_edges_pushed": u64, "sweep_edges_pulled": u64,
-//     "sweep_pull_rounds": u64, "sweep_staging_avoided_bytes": u64,
+//     "sweep_edges_pushed": u64,
 //     "network_bytes": u64,
 //     "exchange_bytes_raw": u64, "exchange_bytes_wire": u64,
 //     "state_bytes": u64,

@@ -228,8 +228,7 @@ void Tracer::write_jsonl(std::ostream& os) const {
        << ",\"t\":" << fmt(s.measured_t_seconds) << ",\"mode\":"
        << quote(mode_name(s.comm_mode)) << ",\"t_a2a\":"
        << fmt(s.prediction.t_a2a_seconds) << ",\"t_m2m\":"
-       << fmt(s.prediction.t_m2m_seconds) << ",\"dir\":" << s.sweep_dir
-       << "}\n";
+       << fmt(s.prediction.t_m2m_seconds) << "}\n";
   }
 }
 
@@ -273,8 +272,6 @@ Tracer Tracer::read_jsonl(std::istream& is) {
       s.measured_t_seconds = o.num("t");
       s.comm_mode = parse_mode(o);
       s.prediction = {o.num("t_a2a", -1.0), o.num("t_m2m", -1.0)};
-      s.sweep_dir =
-          static_cast<int>(o.num("dir", -1.0));  // absent pre-pull -> -1
       t.record_superstep(s);
     } else if (record == "recovery") {
       RecoverySpan s;
@@ -405,15 +402,7 @@ Table Tracer::recoveries_table() const {
 
 Table Tracer::supersteps_table() const {
   Table t({"superstep", "active", "lazy_on", "trend", "T(s)", "mode", "t_a2a",
-           "t_m2m", "dir"});
-  const auto dir_name = [](int d) {
-    switch (d) {
-      case 0: return "push";
-      case 1: return "pull";
-      case 2: return "mixed";
-      default: return "-";
-    }
-  };
+           "t_m2m"});
   for (const SuperstepSnapshot& s : snapshots_) {
     t.add_row({Table::num(s.superstep), Table::num(s.active_vertices),
                s.lazy_on ? "on" : "off", Table::num(s.trend, 4),
@@ -424,8 +413,7 @@ Table Tracer::supersteps_table() const {
                    : Table::num(s.prediction.t_a2a_seconds, 6),
                s.prediction.t_m2m_seconds < 0.0
                    ? "-"
-                   : Table::num(s.prediction.t_m2m_seconds, 6),
-               dir_name(s.sweep_dir)});
+                   : Table::num(s.prediction.t_m2m_seconds, 6)});
   }
   return t;
 }

@@ -143,10 +143,6 @@ struct SuperstepSnapshot {
   double measured_t_seconds = 0.0;  // the "T" calibrating the 3T budget
   int comm_mode = -1;            // mode chosen this superstep (-1 = none)
   CommPrediction prediction = {};
-  /// Sweep direction this superstep's chunked sweeps resolved to: -1 = no
-  /// chunked sweep ran, 0 = every machine pushed, 1 = every machine pulled,
-  /// 2 = mixed (per-machine adaptive decisions differed).
-  int sweep_dir = -1;
 
   bool operator==(const SuperstepSnapshot&) const = default;
 };

@@ -86,8 +86,6 @@ engine::RunConfig run_config(EngineKind kind, const Scenario& s,
   engine::RunConfig cfg;
   cfg.kind = kind;
   cfg.max_supersteps = o.max_supersteps;
-  cfg.threads_per_machine = s.threads_per_machine;
-  cfg.sweep = s.sweep;
   cfg.interval.policy = s.interval_policy;
   cfg.comm_policy = s.comm_policy;
   cfg.staleness = s.staleness;
@@ -305,52 +303,6 @@ std::optional<std::string> run_program(const Scenario& s,
     base_data.push_back(std::move(out.result.data));
     base_steps.push_back(out.result.supersteps);
     base_seconds.push_back(out.sim_seconds);
-  }
-
-  // --- Forced sweep directions: push, pull and adaptive must agree. ---
-  // The direction only changes which thread folds each target's messages,
-  // never the per-target fold order, so the converged bits, the trajectory
-  // length and the simulated time (work counters are direction-invariant)
-  // must all match the baseline exactly. Pinned on one deterministically
-  // picked direction-sensitive engine (sync scatter / lazy-block sweeps).
-  if (o.check_determinism) {
-    const bool pick_lazy =
-        (mix64(s.seed ^ s.partition_seed ^ 0x5eedd125ULL) & 1) != 0;
-    const EngineKind kind =
-        pick_lazy ? EngineKind::kLazyBlock : EngineKind::kSync;
-    const std::size_t base_idx = pick_lazy ? 2 : 0;
-    const auto& dg = is_lazy(kind) ? dg_lazy : dg_plain;
-    for (const engine::SweepDirection dir :
-         {engine::SweepDirection::kPush, engine::SweepDirection::kPull,
-          engine::SweepDirection::kAdaptive}) {
-      if (dir == s.sweep) continue;  // the baseline already ran this one
-      Scenario forced = s;
-      forced.sweep = dir;
-      const auto out =
-          run_one(kind, dg, prog, forced, o, /*threads=*/1,
-                  /*with_tracer=*/false, /*with_inspector=*/false, replica_eq,
-                  bit_eq);
-      std::string why;
-      if (!out.result.converged) {
-        why = "did not converge";
-      } else if (out.result.supersteps != base_steps[base_idx]) {
-        why = "superstep count";
-      } else if (out.sim_seconds != base_seconds[base_idx]) {
-        why = "simulated seconds";
-      } else {
-        for (vid_t v = 0; v < g.num_vertices(); ++v) {
-          if (!bit_eq(out.result.data[v], base_data[base_idx][v])) {
-            why = "vertex " + std::to_string(v) + " data";
-            break;
-          }
-        }
-      }
-      if (!why.empty()) {
-        return std::string(engine::to_string(kind)) + ": forced " +
-               engine::to_string(dir) + " sweep not bit-identical to " +
-               engine::to_string(s.sweep) + " baseline (" + why + ")";
-      }
-    }
   }
 
   // --- Fault injection: kill + recover must be invisible in the results. ---
@@ -827,12 +779,10 @@ Verdict check_pipeline_scenario(const Scenario& s, const OracleOptions& opts) {
                                             .seed = s.partition_seed};
     plan::LowerOptions base;
     base.default_engine = engine::engine_kind_from_string(s.plan_engine);
-    base.threads_per_machine = s.threads_per_machine;
     base.max_supersteps = opts.max_supersteps;
     base.staleness = s.staleness;
     base.interval.policy = s.interval_policy;
     base.comm_policy = s.comm_policy;
-    base.sweep = s.sweep;
     if (s.split) {
       partition::EdgeSplitterOptions eso;
       eso.t_extra = 0.001;

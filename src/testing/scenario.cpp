@@ -137,9 +137,7 @@ std::string Scenario::summary() const {
   }
   os << " staleness=" << staleness
      << " interval=" << engine::to_string(interval_policy)
-     << " comm=" << engine::to_string(comm_policy)
-     << " tpm=" << threads_per_machine
-     << " sweep=" << engine::to_string(sweep);
+     << " comm=" << engine::to_string(comm_policy);
   if (has_pipeline()) {
     os << " pipeline=" << pipeline << " plan_engine=" << plan_engine;
   }
@@ -151,7 +149,7 @@ std::string Scenario::summary() const {
 void Scenario::to_text(std::ostream& os) const {
   // %.17g round-trips every finite double exactly.
   char buf[64];
-  os << "lazygraph-scenario v6\n";
+  os << kHeader << "\n";
   os << "seed " << seed << "\n";
   os << "vertices " << num_vertices << "\n";
   os << "machines " << machines << "\n";
@@ -166,7 +164,6 @@ void Scenario::to_text(std::ostream& os) const {
   std::snprintf(buf, sizeof buf, "%.17g", alpha);
   os << "alpha " << buf << "\n";
   os << "staleness " << staleness << "\n";
-  os << "threads_per_machine " << threads_per_machine << "\n";
   os << "interval " << engine::to_string(interval_policy) << "\n";
   os << "comm " << engine::to_string(comm_policy) << "\n";
   // Pipeline text is one space-free token by construction (the plan grammar
@@ -180,7 +177,6 @@ void Scenario::to_text(std::ostream& os) const {
   // Batch lanes are a comma-joined integer list (space-free); "-" is the
   // explicit "no batch" sentinel.
   os << "batch " << (batch.empty() ? "-" : batch) << "\n";
-  os << "sweep " << engine::to_string(sweep) << "\n";
   os << "edges " << edges.size() << "\n";
   for (const Edge& e : edges) {
     std::snprintf(buf, sizeof buf, "%.9g", static_cast<double>(e.weight));
@@ -200,26 +196,10 @@ Scenario Scenario::from_text(std::istream& is) {
   };
   std::string line;
   if (!std::getline(is, line)) fail("missing scenario header");
-  // v1 dumps predate the threads_per_machine key, v2 dumps predate the
-  // pipeline keys, v3 dumps predate the kill key, v4 dumps predate the
-  // batch key, and v5 dumps predate the sweep key; all parse with the
-  // defaults (tpm=1, no pipeline, no failures, no batch, adaptive sweep),
-  // so old corpus files stay replayable bit-for-bit.
-  int version = 0;
-  if (line == "lazygraph-scenario v1") {
-    version = 1;
-  } else if (line == "lazygraph-scenario v2") {
-    version = 2;
-  } else if (line == "lazygraph-scenario v3") {
-    version = 3;
-  } else if (line == "lazygraph-scenario v4") {
-    version = 4;
-  } else if (line == "lazygraph-scenario v5") {
-    version = 5;
-  } else if (line == "lazygraph-scenario v6") {
-    version = 6;
-  } else {
-    fail("missing 'lazygraph-scenario v1|v2|v3|v4|v5|v6' header");
+  // One format: dumps are replayed at the commit that wrote them.
+  if (line != kHeader) {
+    fail("unsupported header '" + line + "' (expected '" +
+         std::string(kHeader) + "')");
   }
   Scenario s;
   auto expect_key = [&](const std::string& key) -> std::string {
@@ -239,37 +219,24 @@ Scenario Scenario::from_text(std::istream& is) {
   s.tol = std::stod(expect_key("tol"));
   s.alpha = std::stod(expect_key("alpha"));
   s.staleness = static_cast<std::uint32_t>(std::stoul(expect_key("staleness")));
-  if (version >= 2) {
-    s.threads_per_machine = static_cast<std::uint32_t>(
-        std::stoul(expect_key("threads_per_machine")));
-  }
   s.interval_policy = interval_from_string(expect_key("interval"));
   s.comm_policy = comm_from_string(expect_key("comm"));
-  if (version >= 3) {
-    const std::string p = expect_key("pipeline");
-    if (p != "-") {
-      s.pipeline = plan::Pipeline::parse(p).to_string();  // validates
-    }
-    s.plan_engine = expect_key("plan_engine");
-    engine::engine_kind_from_string(s.plan_engine);  // validates; throws
+  const std::string p = expect_key("pipeline");
+  if (p != "-") {
+    s.pipeline = plan::Pipeline::parse(p).to_string();  // validates
   }
-  if (version >= 4) {
-    const std::string k = expect_key("kill");
-    if (k != "-") {
-      s.kill = sim::FailurePlan::parse(k).to_string();  // validates
-    }
+  s.plan_engine = expect_key("plan_engine");
+  engine::engine_kind_from_string(s.plan_engine);  // validates; throws
+  const std::string k = expect_key("kill");
+  if (k != "-") {
+    s.kill = sim::FailurePlan::parse(k).to_string();  // validates
   }
-  if (version >= 5) {
-    const std::string b = expect_key("batch");
-    if (b != "-") {
-      s.batch = b;
-      const auto lanes = s.batch_lanes();  // validates; throws
-      if (lanes.size() + 1 > 16) fail("more than 16 batch lanes");
-      s.batch = join_lanes(lanes);  // canonical form
-    }
-  }
-  if (version >= 6) {
-    s.sweep = engine::sweep_direction_from_string(expect_key("sweep"));
+  const std::string b = expect_key("batch");
+  if (b != "-") {
+    s.batch = b;
+    const auto lanes = s.batch_lanes();  // validates; throws
+    if (lanes.size() + 1 > 16) fail("more than 16 batch lanes");
+    s.batch = join_lanes(lanes);  // canonical form
   }
   const std::uint64_t num_edges = std::stoull(expect_key("edges"));
   s.edges.reserve(num_edges);
@@ -410,15 +377,8 @@ Scenario make_scenario(std::uint64_t corpus_seed, std::uint64_t index) {
                                        CommModePolicy::kForceAllToAll,
                                        CommModePolicy::kForceMirrorsToMaster};
   s.comm_policy = kComms[rng.below(3)];
-  // Drawn last so every earlier field of pre-existing corpus seeds is
-  // unchanged by the knob's introduction. 7 is deliberately not a divisor of
-  // the sweep chunk size, exercising ragged chunk/range splits.
-  constexpr std::uint32_t kTpm[] = {1, 2, 7};
-  s.threads_per_machine = kTpm[rng.below(3)];
 
   // --- pipeline (plan layer) ---
-  // Drawn after tpm for the same reason tpm is drawn last: earlier fields of
-  // pre-existing corpus seeds are unchanged by the pipeline's introduction.
   // About a quarter of scenarios exercise the record-then-lower path; the
   // oracle then checks the composed lowering against the sequential
   // reference lowering instead of the single-program differential matrix.
@@ -444,8 +404,6 @@ Scenario make_scenario(std::uint64_t corpus_seed, std::uint64_t index) {
   }
 
   // --- fault injection ---
-  // Drawn last, after the pipeline, for the usual reason: earlier fields of
-  // pre-existing corpus seeds are unchanged by the knob's introduction.
   // About a quarter of non-pipeline scenarios inject a machine failure; the
   // oracle then re-runs every engine with the kill installed and requires
   // the recovered run to converge bit-identically to the failure-free one.
@@ -456,8 +414,7 @@ Scenario make_scenario(std::uint64_t corpus_seed, std::uint64_t index) {
   }
 
   // --- serving-layer batch lanes ---
-  // Drawn after the kill, keeping earlier fields of pre-existing corpus
-  // seeds unchanged. About a quarter of eligible scenarios (per-query
+  // About a quarter of eligible scenarios (per-query
   // parameterized program, no pipeline, no kill) add 1-3 extra lanes; the
   // oracle then packs all lanes into one batched engine run and checks each
   // against its solo run instead of the four-engine differential matrix.
@@ -476,18 +433,6 @@ Scenario make_scenario(std::uint64_t corpus_seed, std::uint64_t index) {
     }
     s.batch = Scenario::join_lanes(lanes);
   }
-
-  // --- sweep direction ---
-  // Drawn last (after batch), keeping earlier fields of pre-existing corpus
-  // seeds unchanged. All three directions must be bit-identical, so the
-  // generator exercises forced push and forced pull alongside the adaptive
-  // rule; the oracle additionally pins all three against each other for a
-  // deterministic subset of engines.
-  using engine::SweepDirection;
-  constexpr SweepDirection kSweeps[] = {SweepDirection::kAdaptive,
-                                        SweepDirection::kPush,
-                                        SweepDirection::kPull};
-  s.sweep = kSweeps[rng.below(3)];
   return s;
 }
 

@@ -15,7 +15,6 @@
 
 #include "engine/comm_mode.hpp"
 #include "engine/interval_model.hpp"
-#include "engine/sweep_direction.hpp"
 #include "graph/graph.hpp"
 #include "partition/partitioner.hpp"
 
@@ -41,6 +40,9 @@ ProgramKind program_kind_from_string(const std::string& s);
 /// generator recipe) so the shrinker can delete edges and vertices while the
 /// case stays replayable.
 struct Scenario {
+  /// The one accepted text-format header (to_text writes it).
+  static constexpr const char* kHeader = "lazygraph-scenario v7";
+
   /// Provenance label: the corpus seed this case was generated from (kept
   /// through shrinking so dumps can be traced back to a fuzzer run).
   std::uint64_t seed = 0;
@@ -68,14 +70,6 @@ struct Scenario {
   std::uint32_t staleness = 4;  // lazy-vertex applies between coherency events
   engine::IntervalPolicy interval_policy = engine::IntervalPolicy::kAdaptive;
   engine::CommModePolicy comm_policy = engine::CommModePolicy::kAdaptive;
-  /// Intra-machine thread budget (sync + lazy-block sweeps); exercises the
-  /// chunked deterministic merge path when > 1.
-  std::uint32_t threads_per_machine = 1;
-  /// Local-sweep direction (sync + lazy-block chunked sweeps): forced push,
-  /// forced pull over the CSC mirror, or the adaptive density rule. Every
-  /// direction must produce bit-identical results, so the generator draws
-  /// all three. Empty/old dumps default to adaptive (the v1-v5 behaviour).
-  engine::SweepDirection sweep = engine::SweepDirection::kAdaptive;
 
   // --- pipeline (plan layer) ---
   /// When non-empty, the oracle checks this recorded pipeline (stored as
@@ -91,7 +85,7 @@ struct Scenario {
   /// When non-empty, a failure plan in sim::FailurePlan text form
   /// ("m@k[:r]", comma-joined). The oracle re-runs every engine with the
   /// plan installed and requires the converged state to be bit-identical to
-  /// the failure-free run. Empty means no failures (the v1-v3 behaviour).
+  /// the failure-free run. Empty means no failures.
   std::string kill;
 
   // --- serving layer (batched lanes) ---
@@ -100,8 +94,7 @@ struct Scenario {
   /// source programs, thresholds for k-core. The scenario's own source /
   /// kcore_k is always lane 0; each listed value adds one more lane. The
   /// oracle packs all lanes into one batched engine run and requires every
-  /// lane to match its solo run bit-for-bit. Empty means no batch check
-  /// (the v1-v4 behaviour).
+  /// lane to match its solo run bit-for-bit. Empty means no batch check.
   std::string batch;
 
   bool has_pipeline() const { return !pipeline.empty(); }
@@ -132,7 +125,8 @@ struct Scenario {
   /// Stable text form (replayable with lazygraph_fuzz --replay=FILE).
   void to_text(std::ostream& os) const;
   std::string to_text() const;
-  /// Parses to_text output; throws std::invalid_argument on malformed input.
+  /// Parses to_text output; throws std::invalid_argument on malformed input,
+  /// including any header other than kHeader.
   static Scenario from_text(std::istream& is);
   static Scenario from_text(const std::string& text);
 };

@@ -216,19 +216,11 @@ class Shrinker {
     if (report_.scenario.staleness != defaults.staleness) {
       try_knob([&](Scenario& c) { c.staleness = defaults.staleness; });
     }
-    if (report_.scenario.threads_per_machine != defaults.threads_per_machine) {
-      try_knob([&](Scenario& c) {
-        c.threads_per_machine = defaults.threads_per_machine;
-      });
-    }
     if (report_.scenario.interval_policy != defaults.interval_policy) {
       try_knob([&](Scenario& c) { c.interval_policy = defaults.interval_policy; });
     }
     if (report_.scenario.comm_policy != defaults.comm_policy) {
       try_knob([&](Scenario& c) { c.comm_policy = defaults.comm_policy; });
-    }
-    if (report_.scenario.sweep != defaults.sweep) {
-      try_knob([&](Scenario& c) { c.sweep = defaults.sweep; });
     }
     if (report_.scenario.kcore_k != defaults.kcore_k) {
       try_knob([&](Scenario& c) { c.kcore_k = defaults.kcore_k; });

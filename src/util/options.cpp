@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <string_view>
 
 namespace lazygraph {
 
@@ -71,6 +72,20 @@ double Options::get_double(const std::string& key, double def) const {
                       " is out of range (must be a finite double)");
   }
   return v;
+}
+
+void Options::reject_unknown(
+    std::initializer_list<std::string_view> accepted) const {
+  for (const auto& [key, value] : kv_) {
+    bool known = false;
+    for (const std::string_view a : accepted) known = known || a == key;
+    if (known) continue;
+    std::string list;
+    for (const std::string_view a : accepted) {
+      list += (list.empty() ? "--" : ", --") + std::string(a);
+    }
+    throw OptionError("unknown flag --" + key + " (accepted: " + list + ")");
+  }
 }
 
 bool Options::get_bool(const std::string& key, bool def) const {

@@ -1,10 +1,9 @@
-// Allocation-count probe for the hot path: after the slab-arena PartState
-// and pooled SweepScratch overhaul, steady-state supersteps perform ZERO
+// Allocation-count probe for the hot path: with the slab-arena PartState
+// and its pre-reserved sweep scratch, steady-state supersteps perform ZERO
 // heap allocations on the serial cluster path. The probe replaces the
 // global allocator with counting versions and samples the counter at every
-// coherency point; once warm (worklists, scratch, and chunk buckets have
-// reached their high-water capacity), each further superstep's delta must
-// be exactly zero.
+// coherency point; once warm (worklists have reached their high-water
+// capacity), each further superstep's delta must be exactly zero.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -95,14 +94,10 @@ TEST(AllocProbe, SyncEngineSteadyStateAllocatesNothing) {
       datasets::make(datasets::spec_by_name("webgoogle-like"), 0.05);
   const auto dg = testsupport::build_dgraph(g, 4);
   auto cluster = testsupport::make_cluster(4);
-  // Forced push: the adaptive direction switch would warm the pull path's
-  // buffers whenever it first flips mid-run; each direction gets its own
-  // pinned probe instead.
-  // Warmup 3: worklists and chunk buckets hit their high-water marks while
-  // the frontier is still near-full.
+  // Warmup 3: worklists hit their high-water marks while the frontier is
+  // still near-full.
   expect_steady_state_alloc_free(
-      alloc_deltas({.kind = engine::EngineKind::kSync,
-                    .sweep = engine::SweepDirection::kPush},
+      alloc_deltas({.kind = engine::EngineKind::kSync},
                    dg, algos::PageRankDelta{.tol = 1e-3}, cluster, 256),
       3);
 }
@@ -115,25 +110,7 @@ TEST(AllocProbe, LazyBlockEngineSteadyStateAllocatesNothing) {
                                 /*split=*/true);
   auto cluster = testsupport::make_cluster(4);
   expect_steady_state_alloc_free(
-      alloc_deltas({.kind = engine::EngineKind::kLazyBlock,
-                    .sweep = engine::SweepDirection::kPush},
-                   dg, algos::PageRankDelta{.tol = 1e-3}, cluster, 256),
-      3);
-}
-
-// The pull direction must be just as allocation-free once its payload slots
-// and chunk bounds are warm — it stages nothing, so if anything it retires
-// the push path's bucket growth.
-TEST(AllocProbe, LazyBlockForcedPullSteadyStateAllocatesNothing) {
-  const Graph g =
-      datasets::make(datasets::spec_by_name("webgoogle-like"), 0.05);
-  const auto dg =
-      testsupport::build_dgraph(g, 4, partition::CutKind::kCoordinated, 7,
-                                /*split=*/true);
-  auto cluster = testsupport::make_cluster(4);
-  expect_steady_state_alloc_free(
-      alloc_deltas({.kind = engine::EngineKind::kLazyBlock,
-                    .sweep = engine::SweepDirection::kPull},
+      alloc_deltas({.kind = engine::EngineKind::kLazyBlock},
                    dg, algos::PageRankDelta{.tol = 1e-3}, cluster, 256),
       3);
 }

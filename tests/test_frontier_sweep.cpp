@@ -1,7 +1,6 @@
-// Frontier worklist + deterministic parallel sweep tests: the sparse/dense
-// representation switch, sweep equivalence against reference whole-array
-// scans (the historical implementation), bit-determinism of the chunked
-// sweep across thread budgets, and the scan-work reduction on sparse runs.
+// Frontier worklist + local sweep tests: the sparse/dense representation
+// switch, sweep equivalence against reference whole-array scans (the
+// historical implementation), and the scan-work reduction on sparse runs.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -14,7 +13,6 @@ namespace {
 using engine::Frontier;
 using engine::PartState;
 using engine::SweepCounters;
-using engine::SweepExec;
 using engine::SweepMode;
 
 // ---------------------------------------------------------------- Frontier
@@ -374,41 +372,6 @@ TEST(LocalSweep, SnapshotSweepMatchesReferenceSnapshot) {
   expect_states_bit_identical(rig.state(), ref, "snapshot");
 }
 
-// ------------------------------------------- chunked-sweep bit determinism
-
-// The chunked sweep must produce bit-identical state for every thread
-// budget: 1 (inline), 2, and 7 (not a divisor of the chunk size, so range
-// splits are ragged), with a live pool underneath.
-TEST(LocalSweep, ChunkedSweepBitIdenticalAcrossThreadBudgets) {
-  SweepRig<algos::PageRankDelta> rig(gen::rmat(10, 8, 0.55, 0.2, 0.2, 17));
-  const lvid_t n = rig.part().num_local();
-  for (lvid_t v = 0; v < n; ++v) {
-    engine::deposit_msg(rig.prog, rig.state(), v, 0.15 + 0.001 * v);
-  }
-  sim::Cluster cluster({1, {}, /*threads=*/4});
-
-  std::vector<PartState<algos::PageRankDelta>> runs;
-  std::vector<SweepCounters> counters;
-  for (const std::uint32_t tpm : {1u, 2u, 7u}) {
-    PartState<algos::PageRankDelta> s = rig.state();
-    counters.push_back(engine::local_sweep(rig.prog, rig.part(), s,
-                                           SweepMode::kSnapshot,
-                                           SweepExec{&cluster, tpm}));
-    runs.push_back(std::move(s));
-  }
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    EXPECT_EQ(counters[i].work, counters[0].work) << i;
-    EXPECT_EQ(counters[i].applies, counters[0].applies) << i;
-    for (lvid_t v = 0; v < n; ++v) {
-      ASSERT_EQ(runs[i].vdata[v].rank, runs[0].vdata[v].rank)
-          << "tpm run " << i << " vertex " << v;
-      ASSERT_EQ(runs[i].vdata[v].pending_delta, runs[0].vdata[v].pending_delta)
-          << "tpm run " << i << " vertex " << v;
-    }
-    expect_states_bit_identical(runs[i], runs[0], "tpm");
-  }
-}
-
 // ------------------------------------------------- engine-level properties
 
 struct EngineRig {
@@ -422,67 +385,6 @@ struct EngineRig {
             partition::assign_edges(
                 g, machines, {partition::CutKind::kCoordinated, 7}))) {}
 };
-
-// threads_per_machine is a pure execution knob for the sync engine: results
-// and traffic must be bit-identical for any value.
-TEST(EngineDeterminism, SyncBitIdenticalAcrossThreadsPerMachine) {
-  EngineRig rig(gen::erdos_renyi(250, 1500, 19, {1.0f, 5.0f}), 4);
-  std::vector<engine::RunResult<algos::PageRankDelta>> results;
-  for (const std::uint32_t tpm : {1u, 2u, 7u}) {
-    sim::Cluster cluster({4, {}, /*threads=*/4});
-    engine::RunConfig cfg;
-    cfg.kind = engine::EngineKind::kSync;
-    cfg.threads_per_machine = tpm;
-    results.push_back(
-        engine::run(cfg, rig.dg, algos::PageRankDelta{}, cluster));
-  }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].supersteps, results[0].supersteps) << i;
-    EXPECT_EQ(results[i].metrics.network_bytes,
-              results[0].metrics.network_bytes)
-        << i;
-    ASSERT_EQ(results[i].data.size(), results[0].data.size());
-    for (std::size_t v = 0; v < results[0].data.size(); ++v) {
-      ASSERT_EQ(results[i].data[v].rank, results[0].data[v].rank)
-          << "tpm run " << i << " vertex " << v;
-    }
-  }
-}
-
-// For lazy-block, tpm > 1 switches Stage 1 to snapshot sub-sweeps (an
-// algorithm knob), so all parallel budgets must agree with each other —
-// and with the cluster pool disabled (exec falls back inline).
-TEST(EngineDeterminism, LazyBlockBitIdenticalAcrossParallelBudgets) {
-  EngineRig rig(gen::erdos_renyi(250, 1500, 23, {1.0f, 5.0f}), 4);
-  struct Case {
-    std::uint32_t tpm;
-    std::uint32_t pool_threads;
-  };
-  std::vector<engine::RunResult<algos::SSSP>> results;
-  for (const Case c : {Case{2, 4}, Case{7, 4}, Case{2, 1}}) {
-    sim::Cluster cluster({4, {}, c.pool_threads});
-    engine::RunConfig cfg;
-    cfg.kind = engine::EngineKind::kLazyBlock;
-    cfg.threads_per_machine = c.tpm;
-    results.push_back(
-        engine::run(cfg, rig.dg, algos::SSSP{.source = 0}, cluster));
-  }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].supersteps, results[0].supersteps) << i;
-    EXPECT_EQ(results[i].metrics.network_bytes,
-              results[0].metrics.network_bytes)
-        << i;
-    for (std::size_t v = 0; v < results[0].data.size(); ++v) {
-      ASSERT_EQ(results[i].data[v].dist, results[0].data[v].dist)
-          << "run " << i << " vertex " << v;
-    }
-  }
-  // And the knob keeps the answer correct, not just stable.
-  const auto expect = reference::sssp(rig.g, 0);
-  for (vid_t v = 0; v < rig.g.num_vertices(); ++v) {
-    EXPECT_DOUBLE_EQ(results[0].data[v].dist, expect[v]) << v;
-  }
-}
 
 // Sparse supersteps must not pay O(num_local) scans: BSP SSSP down a path
 // graph activates exactly one vertex per superstep (one hop per barrier),

@@ -25,10 +25,11 @@ Graph test_graph() {
                    /*seed=*/42, {0.5f, 4.5f});
 }
 
-plan::Executor make_executor(const Graph& g, partition::ArtifactCache* cache) {
+plan::Executor make_executor(const Graph& g, partition::ArtifactCache* cache,
+                             std::size_t threads = 1) {
   return plan::Executor(g, /*machines=*/4,
                         {.kind = partition::CutKind::kCoordinated, .seed = 9},
-                        cache);
+                        cache, threads);
 }
 
 void expect_same_digests(const plan::PipelineResult& a,
@@ -136,19 +137,18 @@ TEST_P(ComposedEquivalence, MatchesSequentialReferenceBitForBit) {
   const auto [kind, text] = GetParam();
   const Graph g = test_graph();
   const plan::Pipeline pipe = plan::Pipeline::parse(text);
-  for (std::uint32_t tpm : {1u, 7u}) {
+  for (const std::size_t threads : {1u, 3u}) {
     plan::LowerOptions opts;
     opts.default_engine = kind;
-    opts.threads_per_machine = tpm;
 
     partition::ArtifactCache cache;
-    plan::Executor composed = make_executor(g, &cache);
+    plan::Executor composed = make_executor(g, &cache, threads);
     const auto cres = composed.run(pipe, opts);
-    ASSERT_TRUE(cres.converged) << "tpm=" << tpm;
+    ASSERT_TRUE(cres.converged) << "threads=" << threads;
 
     plan::Executor seq = make_executor(g, nullptr);
     const auto sres = seq.run(pipe, plan::sequential_baseline(opts));
-    ASSERT_TRUE(sres.converged) << "tpm=" << tpm;
+    ASSERT_TRUE(sres.converged) << "threads=" << threads;
 
     expect_same_digests(cres, sres);
   }
@@ -349,25 +349,12 @@ TEST(PipelineScenario, TextRoundTripsPipelineFields) {
   EXPECT_EQ(back.plan_engine, "powergraph-sync");
 }
 
-TEST(PipelineScenario, V2TextsParseWithoutPipeline) {
-  const char* v2 =
-      "lazygraph-scenario v2\n"
-      "seed 1\nvertices 3\nmachines 2\ncut random\npartition_seed 1\n"
-      "split 0\nprogram cc\nsource 0\nkcore_k 3\ntol 0.0001\nalpha 0.5\n"
-      "staleness 4\nthreads_per_machine 2\ninterval adaptive\n"
-      "comm adaptive\nedges 1\n0 1 1\n";
-  const testing::Scenario s = testing::Scenario::from_text(v2);
-  EXPECT_FALSE(s.has_pipeline());
-  EXPECT_EQ(s.plan_engine, "lazygraph-block");
-}
-
 TEST(PipelineScenario, OracleAcceptsComposedPipelines) {
   const Graph g = test_graph();
   testing::Scenario s;
   s.num_vertices = g.num_vertices();
   s.edges = g.edges();
   s.machines = 4;
-  s.threads_per_machine = 2;
   plan::Pipeline p;
   p.kcore(3).cc().pagerank(1e-3);
   s.pipeline = p.to_string();

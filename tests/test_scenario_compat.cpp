@@ -1,12 +1,10 @@
-// Scenario text back-compat: v1/v2/v3/v4/v5 dumps (which predate the
-// threads_per_machine, pipeline, kill, batch, and sweep keys respectively)
-// must parse with defaults, re-serialize as current-version text, and shrink
-// correctly. Guards the `sweep` key scenario text v6 added for the
-// direction-optimizing push/pull sweeps.
+// Scenario text format: the one accepted header, the keyed fields the
+// generator and shrinker exercise (kill, batch), and rejection of any other
+// header with a message naming the accepted one.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "sim/failure.hpp"
 #include "testing/oracle.hpp"
@@ -16,86 +14,31 @@
 namespace lazygraph::testing {
 namespace {
 
-/// Emits `s` in the key layout of an older scenario-text version, exactly
-/// as those releases wrote it (same key order; newer keys absent).
-std::string emit_at_version(const Scenario& s, int version) {
-  char buf[64];
-  std::ostringstream os;
-  os << "lazygraph-scenario v" << version << "\n";
-  os << "seed " << s.seed << "\n";
-  os << "vertices " << s.num_vertices << "\n";
-  os << "machines " << s.machines << "\n";
-  os << "cut " << partition::to_string(s.cut) << "\n";
-  os << "partition_seed " << s.partition_seed << "\n";
-  os << "split " << (s.split ? 1 : 0) << "\n";
-  os << "program " << testing::to_string(s.program) << "\n";
-  os << "source " << s.source << "\n";
-  os << "kcore_k " << s.kcore_k << "\n";
-  std::snprintf(buf, sizeof buf, "%.17g", s.tol);
-  os << "tol " << buf << "\n";
-  std::snprintf(buf, sizeof buf, "%.17g", s.alpha);
-  os << "alpha " << buf << "\n";
-  os << "staleness " << s.staleness << "\n";
-  if (version >= 2) {
-    os << "threads_per_machine " << s.threads_per_machine << "\n";
-  }
-  os << "interval " << engine::to_string(s.interval_policy) << "\n";
-  os << "comm " << engine::to_string(s.comm_policy) << "\n";
-  if (version >= 3) {
-    os << "pipeline " << (s.pipeline.empty() ? "-" : s.pipeline) << "\n";
-    os << "plan_engine " << s.plan_engine << "\n";
-  }
-  if (version >= 4) {
-    os << "kill " << (s.kill.empty() ? "-" : s.kill) << "\n";
-  }
-  if (version >= 5) {
-    os << "batch " << (s.batch.empty() ? "-" : s.batch) << "\n";
-  }
-  if (version >= 6) {
-    os << "sweep " << engine::to_string(s.sweep) << "\n";
-  }
-  os << "edges " << s.edges.size() << "\n";
-  for (const Edge& e : s.edges) {
-    std::snprintf(buf, sizeof buf, "%.9g", static_cast<double>(e.weight));
-    os << e.src << " " << e.dst << " " << buf << "\n";
-  }
-  return os.str();
-}
-
-/// `s` with every field a vN dump cannot carry reset to its default.
-Scenario at_version_defaults(Scenario s, int version) {
-  const Scenario d;
-  if (version < 2) s.threads_per_machine = d.threads_per_machine;
-  if (version < 3) {
-    s.pipeline = d.pipeline;
-    s.plan_engine = d.plan_engine;
-  }
-  if (version < 4) s.kill = d.kill;
-  if (version < 5) s.batch = d.batch;
-  if (version < 6) s.sweep = d.sweep;
-  return s;
-}
-
-// Property: for a spread of generated scenarios, each historical version's
-// dump parses to the scenario with the missing keys defaulted, and
-// re-serializing that parse through the current writer round-trips exactly.
-TEST(ScenarioCompat, AllVersionsParseDefaultAndRoundTrip) {
+TEST(ScenarioCompat, CurrentWriterEmitsV7) {
+  const Scenario s = make_scenario(1, 0);
+  EXPECT_EQ(s.to_text().substr(0, 22), "lazygraph-scenario v7\n");
   for (std::uint64_t i = 0; i < 60; ++i) {
-    const Scenario s = make_scenario(20260808, i);
-    for (int version = 1; version <= 6; ++version) {
-      const Scenario parsed = Scenario::from_text(emit_at_version(s, version));
-      EXPECT_EQ(parsed, at_version_defaults(s, version))
-          << "scenario " << i << " v" << version;
-      // Current-writer round trip of the parsed scenario.
-      EXPECT_EQ(Scenario::from_text(parsed.to_text()), parsed)
-          << "scenario " << i << " v" << version << " re-serialize";
+    const Scenario g = make_scenario(20260808, i);
+    EXPECT_EQ(Scenario::from_text(g.to_text()), g) << "scenario " << i;
+  }
+}
+
+// Dumps are replayed at the commit that wrote them, so older headers are
+// rejected outright, and the message names the header that is accepted.
+TEST(ScenarioCompat, OlderHeadersRejectedNamingCurrent) {
+  const std::string body = make_scenario(7, 3).to_text().substr(22);
+  for (int version = 1; version <= 6; ++version) {
+    const std::string header =
+        "lazygraph-scenario v" + std::to_string(version) + "\n";
+    try {
+      Scenario::from_text(header + body);
+      ADD_FAILURE() << "v" << version << " header accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'lazygraph-scenario v7'"),
+                std::string::npos)
+          << e.what();
     }
   }
-}
-
-TEST(ScenarioCompat, CurrentWriterEmitsV6) {
-  const Scenario s = make_scenario(1, 0);
-  EXPECT_EQ(s.to_text().substr(0, 22), "lazygraph-scenario v6\n");
 }
 
 TEST(ScenarioCompat, KillKeyRoundTripsAndDashMeansNone) {
@@ -128,7 +71,7 @@ TEST(ScenarioCompat, MalformedKillRejected) {
 TEST(ScenarioCompat, UnknownHeaderRejected) {
   const Scenario s = make_scenario(7, 3);
   std::string text = s.to_text();
-  text.replace(0, 21, "lazygraph-scenario v7");
+  text.replace(0, 21, "lazygraph-scenario v8");
   EXPECT_THROW(Scenario::from_text(text), std::invalid_argument);
 }
 
@@ -164,7 +107,7 @@ TEST(ScenarioCompat, MalformedBatchRejected) {
   }
 }
 
-// Generator sanity for the v5 draw: batch lanes appear at roughly 1-in-4 on
+// Generator sanity for the batch draw: batch lanes appear at roughly 1-in-4 on
 // eligible scenarios (per-query parameterized program, no pipeline, no
 // kill), never elsewhere, and every drawn lane is in range.
 TEST(ScenarioCompat, GeneratorDrawsValidBatchLanes) {
@@ -225,58 +168,7 @@ TEST(ScenarioCompat, ShrinkerDropsOrKeepsBatch) {
   EXPECT_EQ(Scenario::from_text(kept.scenario.to_text()), kept.scenario);
 }
 
-// Sweep key: all three names round-trip; anything else is rejected.
-TEST(ScenarioCompat, SweepKeyRoundTripsAndMalformedRejected) {
-  Scenario s = make_scenario(7, 3);
-  using engine::SweepDirection;
-  for (const SweepDirection dir : {SweepDirection::kPush, SweepDirection::kPull,
-                                   SweepDirection::kAdaptive}) {
-    s.sweep = dir;
-    EXPECT_EQ(Scenario::from_text(s.to_text()).sweep, dir);
-  }
-  for (const char* bad : {"nonsense", "PUSH", "pull,push", "-"}) {
-    std::string text = s.to_text();
-    const std::string needle = "\nsweep adaptive\n";
-    const auto pos = text.find(needle);
-    ASSERT_NE(pos, std::string::npos);
-    text.replace(pos, needle.size(), std::string("\nsweep ") + bad + "\n");
-    EXPECT_THROW(Scenario::from_text(text), std::invalid_argument) << bad;
-  }
-}
-
-// Generator sanity for the v6 draw: all three directions appear, each at
-// roughly 1-in-3.
-TEST(ScenarioCompat, GeneratorDrawsAllSweepDirections) {
-  int counts[3] = {0, 0, 0};
-  for (std::uint64_t i = 0; i < 300; ++i) {
-    const Scenario s = make_scenario(99, i);
-    ++counts[static_cast<int>(s.sweep)];
-  }
-  for (const int c : counts) {
-    EXPECT_GT(c, 300 / 6);
-    EXPECT_LT(c, 300 / 2);
-  }
-}
-
-// Shrinker integration: an indifferent predicate resets a forced direction
-// to adaptive; a predicate that needs the forced direction keeps it.
-TEST(ScenarioCompat, ShrinkerResetsOrKeepsSweep) {
-  Scenario s = make_scenario(11, 5);
-  s.sweep = engine::SweepDirection::kPull;
-
-  const auto indifferent = [](const Scenario& c) { return c.machines >= 1; };
-  const ShrinkReport dropped = shrink(s, indifferent, 500);
-  EXPECT_EQ(dropped.scenario.sweep, engine::SweepDirection::kAdaptive);
-
-  const auto needs_pull = [](const Scenario& c) {
-    return c.sweep == engine::SweepDirection::kPull;
-  };
-  const ShrinkReport kept = shrink(s, needs_pull, 500);
-  EXPECT_EQ(kept.scenario.sweep, engine::SweepDirection::kPull);
-  EXPECT_EQ(Scenario::from_text(kept.scenario.to_text()), kept.scenario);
-}
-
-// Generator sanity for the v4 draw: failure plans appear at roughly 1-in-4
+// Generator sanity for the kill draw: failure plans appear at roughly 1-in-4
 // on non-pipeline scenarios, never alongside a pipeline, and every drawn
 // plan is valid canonical FailurePlan text.
 TEST(ScenarioCompat, GeneratorDrawsValidKillPlans) {

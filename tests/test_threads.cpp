@@ -18,7 +18,6 @@ namespace lazygraph {
 namespace {
 
 using engine::EngineKind;
-using engine::SweepDirection;
 
 /// Every SimMetrics field, counters and modeled seconds alike, bit for bit.
 void expect_same_metrics(const sim::SimMetrics& a, const sim::SimMetrics& b,
@@ -34,11 +33,7 @@ void expect_same_metrics(const sim::SimMetrics& a, const sim::SimMetrics& b,
   EXPECT_EQ(a.m2m_exchanges, b.m2m_exchanges) << where;
   EXPECT_EQ(a.vertex_coherency_events, b.vertex_coherency_events) << where;
   EXPECT_EQ(a.sweep_scanned, b.sweep_scanned) << where;
-  EXPECT_EQ(a.sweep_pull_rounds, b.sweep_pull_rounds) << where;
   EXPECT_EQ(a.sweep_edges_pushed, b.sweep_edges_pushed) << where;
-  EXPECT_EQ(a.sweep_edges_pulled, b.sweep_edges_pulled) << where;
-  EXPECT_EQ(a.sweep_staging_avoided_bytes, b.sweep_staging_avoided_bytes)
-      << where;
   EXPECT_EQ(a.exchange_bytes_raw, b.exchange_bytes_raw) << where;
   EXPECT_EQ(a.exchange_bytes_wire, b.exchange_bytes_wire) << where;
   EXPECT_EQ(a.state_bytes, b.state_bytes) << where;
@@ -55,12 +50,10 @@ void expect_same_metrics(const sim::SimMetrics& a, const sim::SimMetrics& b,
 /// checks every run against the serial one: data (via `eq`), supersteps,
 /// convergence and every metric.
 template <class P, class Eq>
-void expect_sync_thread_invariant(const Graph& g, const P& prog,
-                                  SweepDirection sweep, Eq eq) {
+void expect_sync_thread_invariant(const Graph& g, const P& prog, Eq eq) {
   const partition::DistributedGraph dg = testsupport::build_dgraph(g, 8);
   engine::RunConfig cfg;
   cfg.kind = EngineKind::kSync;
-  cfg.sweep = sweep;
   std::vector<engine::RunResult<P>> runs;
   for (const std::size_t threads : {1u, 2u, 4u, 7u}) {
     sim::Cluster cluster({.machines = 8, .threads = threads});
@@ -92,17 +85,13 @@ TEST(SyncThreads, PageRankBitIdenticalAcrossClusterThreads) {
                      const algos::PageRankDelta::VData& b) {
     return a.rank == b.rank && a.pending_delta == b.pending_delta;
   };
-  for (const SweepDirection dir :
-       {SweepDirection::kPush, SweepDirection::kPull}) {
-    SCOPED_TRACE(engine::to_string(dir));
-    expect_sync_thread_invariant(directed_graph(),
-                                 algos::PageRankDelta{.tol = 1e-4}, dir, eq);
-  }
+  expect_sync_thread_invariant(directed_graph(),
+                               algos::PageRankDelta{.tol = 1e-4}, eq);
 }
 
 TEST(SyncThreads, SsspBitIdenticalAcrossClusterThreads) {
   expect_sync_thread_invariant(
-      directed_graph(), algos::SSSP{.source = 0}, SweepDirection::kAdaptive,
+      directed_graph(), algos::SSSP{.source = 0},
       [](const algos::SSSP::VData& a, const algos::SSSP::VData& b) {
         return a.dist == b.dist;
       });
@@ -111,7 +100,6 @@ TEST(SyncThreads, SsspBitIdenticalAcrossClusterThreads) {
 TEST(SyncThreads, CcBitIdenticalAcrossClusterThreads) {
   expect_sync_thread_invariant(
       directed_graph().symmetrized(), algos::ConnectedComponents{},
-      SweepDirection::kAdaptive,
       [](const algos::ConnectedComponents::VData& a,
          const algos::ConnectedComponents::VData& b) {
         return a.label == b.label;
@@ -121,7 +109,6 @@ TEST(SyncThreads, CcBitIdenticalAcrossClusterThreads) {
 TEST(SyncThreads, KcoreBitIdenticalAcrossClusterThreads) {
   expect_sync_thread_invariant(
       directed_graph().symmetrized(), algos::KCore{.k = 6},
-      SweepDirection::kAdaptive,
       [](const algos::KCore::VData& a, const algos::KCore::VData& b) {
         return a.core == b.core && a.deleted == b.deleted;
       });

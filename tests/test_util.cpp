@@ -312,6 +312,33 @@ TEST(Options, BareFlagIsPresentWithNoValue) {
   EXPECT_TRUE(o.get_bool("verbose", false));
 }
 
+// A flag outside the accepted list is an error naming it and listing the
+// accepted flags (a removed flag must not be silently ignored).
+TEST(Options, RejectsUnknownFlagNamingItAndTheAcceptedOnes) {
+  const char* argv[] = {"prog", "--machines=4", "--retired-knob=2",
+                        "--trace"};
+  Options o(4, argv);
+  try {
+    o.reject_unknown({"machines", "trace"});
+    ADD_FAILURE() << "--retired-knob was accepted";
+  } catch (const OptionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--retired-knob"), std::string::npos) << what;
+    EXPECT_NE(what.find("--machines, --trace"), std::string::npos) << what;
+  }
+  // A bare unknown flag is rejected too.
+  const char* bare[] = {"prog", "--retired-flag"};
+  EXPECT_THROW(Options(2, bare).reject_unknown({"machines"}), OptionError);
+}
+
+TEST(Options, AcceptsKnownFlagsAndPositionals) {
+  const char* argv[] = {"prog", "--machines=4", "pos", "--trace"};
+  Options o(4, argv);
+  EXPECT_NO_THROW(o.reject_unknown({"machines", "trace", "seed"}));
+  const char* none[] = {"prog"};
+  EXPECT_NO_THROW(Options(1, none).reject_unknown({}));
+}
+
 TEST(Options, DefaultsWhenMissing) {
   const char* argv[] = {"prog"};
   Options o(1, argv);

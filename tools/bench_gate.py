@@ -25,9 +25,6 @@ relevant cells are present (independent of the baseline):
     the sequential baseline (arg 0).
   * BM_ExchangeCodec: the delta-varint wire volume (exchange_MB_wire) is
     strictly below the uncompressed fallback (exchange_MB_raw) on every row.
-  * BM_SweepDirection: on each frontier cell, the adaptive direction's
-    sweep_cost never exceeds the better forced direction, and on the dense
-    cell the pull direction stages strictly fewer pairs than push.
 
 Exit status: 0 clean, 1 on any mismatch or failed shape check, 2 on bad
 invocation. Stdlib only.
@@ -43,7 +40,6 @@ TRACKED_COUNTERS = frozenset({
     "sim_seconds", "supersteps",
     "partitions", "builds", "engine_runs", "global_syncs",
     "sweep_scanned", "sweep_work", "sweep_applies",
-    "sweep_cost", "sweep_staged", "sweep_pulled",
     "recoveries", "guard_MB", "recovery_MB",
     "exchange_MB_raw", "exchange_MB_wire", "state_MB",
     "replication_factor",
@@ -101,25 +97,6 @@ def check_shapes(rows, errors):
                 errors.append(
                     f"shape: BM_PipelineFusion composed {key} ({comp[key]:g}) "
                     f"must be below sequential ({seq[key]:g})")
-
-    for cell, label in (("0", "dense"), ("1", "sparse")):
-        push = counter(f"BM_SweepDirection/{cell}/0", "sweep_cost")
-        pull = counter(f"BM_SweepDirection/{cell}/1", "sweep_cost")
-        adap = counter(f"BM_SweepDirection/{cell}/2", "sweep_cost")
-        if push is not None and pull is not None and adap is not None:
-            if not adap <= min(push, pull):
-                errors.append(
-                    f"shape: BM_SweepDirection {label} cell adaptive "
-                    f"sweep_cost ({adap:g}) must not exceed "
-                    f"min(push {push:g}, pull {pull:g})")
-    dense_push = counter("BM_SweepDirection/0/0", "sweep_staged")
-    dense_pull = counter("BM_SweepDirection/0/1", "sweep_staged")
-    if dense_push is not None and dense_pull is not None:
-        if not dense_pull < dense_push:
-            errors.append(
-                "shape: BM_SweepDirection dense cell pull sweep_staged "
-                f"({dense_pull:g}) must be strictly below push "
-                f"({dense_push:g})")
 
     for name, counters in sorted(rows.items()):
         if not name.startswith("BM_ExchangeCodec"):

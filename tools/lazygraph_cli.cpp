@@ -12,14 +12,8 @@
 //   --engine=sync|async|lazy-block|lazy-vertex           (default lazy-block)
 //   --dataset=<table1 analogue name> | --graph=<edge-list path>
 //   --machines=N --scale=S --cut=random|grid|coordinated|hybrid
-//   --split=true|false  --source=V  --k=K  --tol=T  --top=N
-//   --threads-per-machine=N  intra-machine sweep threads (default 1)
-//   --sweep=push|pull|adaptive  local-sweep direction (default adaptive):
-//                        push stages (target,msg) pairs per chunk; pull scans
-//                        the CSC in-edge mirror target-parallel with no
-//                        staging; adaptive picks per machine per sweep from
-//                        frontier density. Results are bit-identical across
-//                        directions.
+//   --split=true|false  --source=V  --k=K  --tol=T  --top=N  --seed=S
+//   --alpha=A --seed_bias=B  diffusion damping and seed bias
 //   --ingest-threads=N   setup-path threads for load/partition/build, and
 //                        with --pipeline the executor's machine fan-out
 //                        (default 1; 0 = hardware concurrency; the output is
@@ -52,6 +46,8 @@
 //       default engine for stages without an @engine suffix.
 //   --sequential=true    lower with every reuse mechanism disabled (the
 //                        bit-identical reference lowering)
+//
+// Any other flag is rejected with exit code 1.
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -84,6 +80,11 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 int main(int argc, char** argv) try {
   const Options opts(argc, argv);
+  opts.reject_unknown({"algo", "engine", "dataset", "graph", "machines",
+                       "scale", "cut", "seed", "split", "source", "k", "tol",
+                       "top", "alpha", "seed_bias", "ingest-threads", "trace",
+                       "trace-summary", "perf-report", "kill", "pipeline",
+                       "sequential"});
   const std::string algo = opts.get("algo", "pagerank");
   const auto kind =
       engine::engine_kind_from_string(opts.get("engine", "lazy-block"));
@@ -129,11 +130,6 @@ int main(int argc, char** argv) try {
     }
     plan::LowerOptions lopts;
     lopts.default_engine = kind;
-    lopts.threads_per_machine =
-        static_cast<std::uint32_t>(
-            opts.get_int("threads-per-machine", 1, 0, kMaxU32));
-    lopts.sweep =
-        engine::sweep_direction_from_string(opts.get("sweep", "adaptive"));
     if (opts.get_bool("split", false)) lopts.split = {.t_extra = 0.001};
     if (opts.get_bool("sequential", false)) {
       lopts = plan::sequential_baseline(lopts);
@@ -234,10 +230,6 @@ int main(int argc, char** argv) try {
   engine::RunConfig cfg;
   cfg.kind = kind;
   if (want_trace) cfg.tracer = &tracer;
-  cfg.threads_per_machine =
-      static_cast<std::uint32_t>(
-          opts.get_int("threads-per-machine", 1, 0, kMaxU32));
-  cfg.sweep = engine::sweep_direction_from_string(opts.get("sweep", "adaptive"));
 
   const auto source =
       static_cast<vid_t>(opts.get_int("source", 0, 0, kMaxU32));

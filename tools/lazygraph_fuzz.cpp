@@ -10,8 +10,9 @@
 // the minimized case are dumped in replayable text form; with
 // --dump-dir=DIR the minimized case is also written to a file. Exit status
 // is the number of failing scenarios (capped at --max-failures, default 3).
-// A malformed or out-of-range flag value exits 2 with a message naming
-// the flag.
+// A malformed or out-of-range flag value, or an unknown flag, exits 2 with a
+// message naming the flag. Other flags: --determinism=false skips the
+// determinism re-runs, --verbose=true prints every scenario.
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -56,6 +57,8 @@ int replay(const std::string& file, const OracleOptions& oracle_opts) {
 
 int main(int argc, char** argv) try {
   const lazygraph::Options opt(argc, argv);
+  opt.reject_unknown({"seed", "iters", "only", "replay", "shrink", "dump-dir",
+                      "max-failures", "determinism", "verbose"});
   OracleOptions oracle_opts;
   oracle_opts.check_determinism = opt.get_bool("determinism", true);
 

@@ -13,7 +13,7 @@
 //   --scale=S --machines=N --cut=random|grid|coordinated|oblivious|hybrid
 //   --partition-seed=N --split=true|false --ingest-threads=N
 //   --engine=sync|async|lazy-block|lazy-vertex    (default lazy-block)
-//   --threads-per-machine=N --cluster-threads=N --staleness=N
+//   --cluster-threads=N --staleness=N
 //   Traffic (deterministic; same seed => same stream):
 //     --queries=N --rate=QPS --zipf=SKEW --tenants=N --seed=N
 //     --families=sssp,bfs,widest,diffusion[,kcore]  enabled families
@@ -26,6 +26,7 @@
 //   --trace[=FILE]       write the serving trace (per-query spans + engine
 //                        spans of every batch) as JSONL to FILE
 //                        (serve_trace.jsonl)
+// Any other flag is rejected with exit code 1.
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -75,6 +76,12 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 int main(int argc, char** argv) try {
   const Options opts(argc, argv);
+  opts.reject_unknown({"dataset", "graph", "scale", "machines", "cut",
+                       "partition-seed", "split", "ingest-threads", "engine",
+                       "cluster-threads", "staleness", "queries", "rate",
+                       "zipf", "tenants", "seed", "families", "kcore-max-k",
+                       "max-lanes", "max-wait", "alpha", "tol", "verify",
+                       "cache-budget-mb", "trace"});
   const auto machines =
       static_cast<machine_t>(opts.get_int("machines", 8, 1, 64));
   const auto cut = parse_cut(opts.get("cut", "coordinated"));
@@ -149,9 +156,6 @@ int main(int argc, char** argv) try {
 
   serve::ServeOptions sopts;
   sopts.run.kind = kind;
-  sopts.run.threads_per_machine =
-      static_cast<std::uint32_t>(
-          opts.get_int("threads-per-machine", 1, 0, kMaxU32));
   sopts.run.staleness =
       static_cast<std::uint32_t>(opts.get_int("staleness", 4, 0, kMaxU32));
   if (want_trace) sopts.run.tracer = &tracer;
