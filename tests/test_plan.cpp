@@ -349,6 +349,25 @@ TEST(PipelineScenario, TextRoundTripsPipelineFields) {
   EXPECT_EQ(back.plan_engine, "powergraph-sync");
 }
 
+// A pre-pipeline (v2) dump is no longer read as a pipeline-less scenario: it
+// is rejected, and the message names the one header that is accepted.
+TEST(PipelineScenario, V2TextsRejectedNamingCurrent) {
+  const char* v2 =
+      "lazygraph-scenario v2\n"
+      "seed 1\nvertices 3\nmachines 2\ncut random\npartition_seed 1\n"
+      "split 0\nprogram cc\nsource 0\nkcore_k 3\ntol 0.0001\nalpha 0.5\n"
+      "staleness 4\nthreads_per_machine 2\ninterval adaptive\n"
+      "comm adaptive\nedges 1\n0 1 1\n";
+  try {
+    testing::Scenario::from_text(v2);
+    ADD_FAILURE() << "v2 text accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'lazygraph-scenario v7'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(PipelineScenario, OracleAcceptsComposedPipelines) {
   const Graph g = test_graph();
   testing::Scenario s;
