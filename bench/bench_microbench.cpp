@@ -78,13 +78,13 @@ void BM_LazyPagerank(benchmark::State& state) {
 }
 BENCHMARK(BM_LazyPagerank)->Arg(8)->Arg(48)->Unit(benchmark::kMillisecond);
 
-// One BM_SnapshotSweep cell body: rebuilds pristine state each iteration
-// (outside the timed region) so every sweep sees the identical frontier —
-// seeded at every stride-th vertex — and the recorded counters are
-// iteration-count-invariant.
+// One sweep cell body (BM_SnapshotSweep, BM_GaussSeidelSweep): rebuilds
+// pristine state each iteration (outside the timed region) so every sweep
+// sees the identical frontier — seeded at every stride-th vertex — and the
+// recorded counters are iteration-count-invariant.
 template <class P>
-engine::SweepCounters snapshot_sweep_cell(benchmark::State& state,
-                                          const P& prog, lvid_t stride) {
+engine::SweepCounters sweep_cell(benchmark::State& state, const P& prog,
+                                 lvid_t stride, engine::SweepMode mode) {
   const Graph& g = test_graph();
   const machine_t machines = 1;
   const auto assignment = partition::assign_edges(
@@ -103,8 +103,7 @@ engine::SweepCounters snapshot_sweep_cell(benchmark::State& state,
       engine::deposit_msg(prog, states[0], v, 2.0);
     }
     state.ResumeTiming();
-    last = engine::local_sweep(prog, part, states[0],
-                               engine::SweepMode::kSnapshot);
+    last = engine::local_sweep(prog, part, states[0], mode);
     benchmark::DoNotOptimize(last);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -112,24 +111,38 @@ engine::SweepCounters snapshot_sweep_cell(benchmark::State& state,
   return last;
 }
 
-// The snapshot-sweep cell (CI uploads its JSON as BENCH_sweep.json): one
-// serial snapshot apply+scatter sweep on a single machine holding the full
-// test graph. arg is the frontier shape — 0 = dense (pagerank-delta, every
-// vertex seeded), 1 = sparse (sssp, every 128th vertex seeded). Items/sec
-// ~ swept edges/sec; the work counters are deterministic, so the bench gate
-// pins them exactly.
-void BM_SnapshotSweep(benchmark::State& state) {
+// Runs one sweep cell: arg is the frontier shape — 0 = dense
+// (pagerank-delta, every vertex seeded), 1 = sparse (sssp, every 128th
+// vertex seeded). Items/sec ~ swept edges/sec; the work counters are
+// deterministic, so the bench gate pins them exactly.
+void run_sweep_cell(benchmark::State& state, engine::SweepMode mode) {
   engine::SweepCounters last = {};
   if (state.range(0) == 0) {
-    last = snapshot_sweep_cell(state, algos::PageRankDelta{}, 1);
+    last = sweep_cell(state, algos::PageRankDelta{}, 1, mode);
   } else {
-    last = snapshot_sweep_cell(state, algos::SSSP{.source = 0}, 128);
+    last = sweep_cell(state, algos::SSSP{.source = 0}, 128, mode);
   }
   state.counters["sweep_work"] = static_cast<double>(last.work);
   state.counters["sweep_applies"] = static_cast<double>(last.applies);
   state.counters["sweep_scanned"] = static_cast<double>(last.scanned);
 }
+
+// The snapshot-sweep cell (CI uploads its JSON as BENCH_sweep.json): one
+// serial snapshot apply+scatter sweep on a single machine holding the full
+// test graph.
+void BM_SnapshotSweep(benchmark::State& state) {
+  run_sweep_cell(state, engine::SweepMode::kSnapshot);
+}
 BENCHMARK(BM_SnapshotSweep)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// The Gauss-Seidel cell (rides in BENCH_sweep.json next to the snapshot
+// cell): the same two frontiers swept with Gauss-Seidel visibility, as in
+// lazy-block's Stage 1. Deposits ahead of the cursor join the sweep, so the
+// sparse SSSP frontier spreads far past its 128 seeds within the one sweep.
+void BM_GaussSeidelSweep(benchmark::State& state) {
+  run_sweep_cell(state, engine::SweepMode::kGaussSeidel);
+}
+BENCHMARK(BM_GaussSeidelSweep)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // The exchange-codec cell (rides in BENCH_sweep.json next to the sweep
 // cell): a full lazy-block pagerank run at 8 machines, arg = the

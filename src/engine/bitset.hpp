@@ -2,19 +2,31 @@
 // has_msg/has_delta/has_payload/applied flags (Galois-style flag ops).
 //
 // The bitset does not own memory: PartState carves `words_for(n)` 64-bit
-// words per flag set out of its slab and attach()es views. Writes go through
-// a proxy that RMWs the containing word with relaxed std::atomic_ref ops:
-// concurrent machine bodies (e.g. lazy-block masters delivering into their
-// replicas on other machines) set/clear flags of *distinct* vertices, and
-// distinct bits of one word commute under fetch_or/fetch_and — so the result
-// is bit-identical to the serial order regardless of interleaving.
+// words per flag set out of its slab and attach()es views.
+//
+// Two write paths, one contract:
+//   - set(i)/reset(i) are plain read-modify-writes of the containing word.
+//     They are for owner-only phases: the writing machine is the only one
+//     touching these words until the next fork/join barrier (every deposit
+//     that records a frontier activation, the sweeps' flag clears, the
+//     applied marks).
+//   - `flags[i] = b` goes through a proxy that RMWs the word with relaxed
+//     std::atomic_ref fetch_or/fetch_and. It is for phases where another
+//     machine's body touches the same words at the same time (lazy-block
+//     masters delivering into their replicas on other machines, the sync
+//     gather's own-slot folds that other masters read). Distinct bits of
+//     one word commute under fetch_or/fetch_and, so the result is
+//     bit-identical to the serial order regardless of interleaving.
 // Reads by the owning machine are plain loads: every such reader runs after
 // the writers' fork/join barrier (pool join or serial loop), which gives
-// happens-before. A read from another machine's phase body uses load(): the
-// owner may be RMW-ing other bits of the same word at that moment.
+// happens-before. A read in a phase where another machine's body may RMW
+// other bits of the same word uses load().
 //
 // count() is a word-wise popcount — this is what makes count_msgs() O(n/64)
-// instead of the old O(n) byte scan.
+// instead of the old O(n) byte scan — and find_next() walks the words with
+// countr_zero, which is how the sweeps visit flagged vertices in ascending
+// order without a worklist. Both mask the tail word, so stray bits past
+// size() (e.g. from poisoning) never surface.
 #pragma once
 
 #include <atomic>
@@ -41,8 +53,9 @@ class Bitset {
     nbits_ = nbits;
   }
 
-  /// Write proxy: `flags[v] = 1` / `flags[v] = 0` as atomic fetch_or /
-  /// fetch_and on the containing word (relaxed; distinct-bit ops commute).
+  /// Shared-phase write proxy: `flags[v] = 1` / `flags[v] = 0` as atomic
+  /// fetch_or / fetch_and on the containing word (relaxed; distinct-bit ops
+  /// commute). Owner-only phases use set()/reset() instead.
   class Ref {
    public:
     Ref(std::uint64_t* word, std::uint64_t mask) : word_(word), mask_(mask) {}
@@ -64,23 +77,39 @@ class Bitset {
     std::uint64_t mask_;
   };
 
-  Ref operator[](std::size_t i) {
-    return Ref(words_ + i / kWordBits,
-               std::uint64_t{1} << (i % kWordBits));
-  }
+  Ref operator[](std::size_t i) { return Ref(words_ + i / kWordBits, bit(i)); }
 
   bool operator[](std::size_t i) const {
     return (words_[i / kWordBits] >> (i % kWordBits)) & 1;
   }
 
   /// Relaxed atomic read of flag i, for readers running concurrently with
-  /// the owner's writes to *other* bits of the word (cross-machine reads).
+  /// another machine's proxy writes to *other* bits of the word.
   bool load(std::size_t i) const {
     std::atomic_ref<std::uint64_t> word(words_[i / kWordBits]);
     return (word.load(std::memory_order_relaxed) >> (i % kWordBits)) & 1;
   }
 
+  /// Owner-only writes: plain RMW of the containing word.
+  void set(std::size_t i) { words_[i / kWordBits] |= bit(i); }
+  void reset(std::size_t i) { words_[i / kWordBits] &= ~bit(i); }
+
   std::size_t size() const { return nbits_; }
+
+  /// Smallest flagged index >= i, or size() when there is none. Bits past
+  /// size() in the tail word are never returned.
+  std::size_t find_next(std::size_t i) const {
+    if (i >= nbits_) return nbits_;
+    std::size_t w = i / kWordBits;
+    std::uint64_t bits = words_[w] & (~std::uint64_t{0} << (i % kWordBits));
+    const std::size_t nw = words_for(nbits_);
+    while (bits == 0) {
+      if (++w == nw) return nbits_;
+      bits = words_[w];
+    }
+    const std::size_t at = w * kWordBits + std::countr_zero(bits);
+    return at < nbits_ ? at : nbits_;
+  }
 
   /// Popcount over the words; masks the tail word so stray bits past size()
   /// (e.g. from poisoning) never leak into counts.
@@ -114,6 +143,10 @@ class Bitset {
   }
 
  private:
+  static std::uint64_t bit(std::size_t i) {
+    return std::uint64_t{1} << (i % kWordBits);
+  }
+
   std::uint64_t* words_ = nullptr;
   std::size_t nbits_ = 0;
 };

@@ -7,11 +7,12 @@
 // sparse lvid list while it holds at most `threshold` entries; the first
 // activation that would push past the threshold instead degrades the
 // frontier to "dense" — the flag array itself *is* the frontier and
-// consumers fall back to scanning it. The boundary is exact: a frontier can
+// consumers fall back to walking it. The boundary is exact: a frontier can
 // reach exactly `threshold` sparse entries and stay sparse; entry number
 // threshold+1 flips dense (and is recorded only in the flags, like every
 // activation after it). `clear()` (called when a sweep fully consumes the
-// frontier) resets to sparse.
+// frontier) resets to sparse. Dense consumers walk the flag words
+// (Bitset::find_next) rather than testing every slot.
 //
 // Invariants the engines maintain:
 //   - flag set  =>  the lvid is in the sparse list, or the frontier is dense
@@ -28,6 +29,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "engine/bitset.hpp"
 #include "util/common.hpp"
 
 namespace lazygraph::engine {
@@ -100,15 +102,18 @@ class Frontier {
   std::vector<lvid_t>& entries() { return list_; }
   const std::vector<lvid_t>& entries() const { return list_; }
 
-  /// Calls fn(v) for every v whose flag is up: a flag scan when dense, an
-  /// entry walk when sparse. Sparse duplicates reach fn once per live entry —
-  /// callers dedup downstream where that matters. Returns the number of
-  /// candidate slots examined (the "scan work" SweepCounters report).
-  template <class Flags, class Fn>
-  std::size_t for_each_flagged(const Flags& flags, Fn&& fn) const {
+  /// Calls fn(v) for every v whose flag is up: an ascending word walk of
+  /// the flags (Bitset::find_next) when dense, an entry walk when sparse.
+  /// Sparse duplicates reach fn once per live entry — callers dedup
+  /// downstream where that matters. Returns the number of candidate slots
+  /// examined (the "scan work" SweepCounters report): num_local when dense,
+  /// the entry count when sparse.
+  template <class Fn>
+  std::size_t for_each_flagged(const Bitset& flags, Fn&& fn) const {
     if (dense_ || !tracking_) {
-      for (lvid_t v = 0; v < n_; ++v) {
-        if (flags[v]) fn(v);
+      for (std::size_t v = flags.find_next(0); v < n_;
+           v = flags.find_next(v + 1)) {
+        fn(static_cast<lvid_t>(v));
       }
       return n_;
     }

@@ -216,8 +216,10 @@ class LazyBlockAsyncEngine {
   // handled exclusively by its master's machine, so all reads/writes of v's
   // replica slots are race-free (frontier appends are NOT — fresh
   // activations are buffered per worker and applied serially after the
-  // join). Only vertices on the delta frontiers are visited. Returns the
-  // comm-mode decision it made.
+  // join). The flag words are shared with other masters' replicas, so the
+  // delivery pass reads them with load() and writes them through the
+  // atomic proxy. Only vertices on the delta frontiers are visited. Returns
+  // the comm-mode decision it made.
   CommDecision exchange_deltas() {
     const machine_t p = dg_.num_machines();
     constexpr std::uint64_t kDeltaBytes = wire_bytes<typename P::Msg>();
@@ -296,7 +298,7 @@ class LazyBlockAsyncEngine {
         bool master_has = false;
         auto fold = [&](machine_t rm, lvid_t rv) {
           PartState<P>& rs = states_[rm];
-          if (!rs.has_delta[rv]) return;
+          if (!rs.has_delta.load(rv)) return;
           total = have ? prog_.sum(total, rs.delta[rv]) : rs.delta[rv];
           have = true;
           ++nd;
@@ -323,7 +325,7 @@ class LazyBlockAsyncEngine {
         const vid_t gid_v = part.gids[v];
         if (mode == sim::CommMode::kAllToAll) {
           auto note = [&](machine_t rm, lvid_t rv) {
-            if (states_[rm].has_delta[rv]) {
+            if (states_[rm].has_delta.load(rv)) {
               exch_up_coders_[std::size_t{m} * p + rm].add(
                   gid_v, sizeof(typename P::Msg), rnum - 1);
             }
@@ -332,7 +334,7 @@ class LazyBlockAsyncEngine {
           for (const auto& [r, rl] : part.remote_replicas[v]) note(r, rl);
         } else {
           auto note_up = [&](machine_t rm, lvid_t rv) {
-            if (rm != m && states_[rm].has_delta[rv]) {
+            if (rm != m && states_[rm].has_delta.load(rv)) {
               exch_up_coders_[std::size_t{m} * p + rm].add(
                   gid_v, sizeof(typename P::Msg));
             }
@@ -351,7 +353,7 @@ class LazyBlockAsyncEngine {
         // fresh activations are buffered and appended after the join.
         auto deliver = [&](machine_t rm, lvid_t rv) {
           PartState<P>& rs = states_[rm];
-          if (rs.has_delta[rv]) {
+          if (rs.has_delta.load(rv)) {
             if (nd > 1 &&
                 deposit_msg_raw(prog_, rs, rv,
                                 without_own(prog_, total, rs.delta[rv]))) {

@@ -5,22 +5,23 @@
 // target's delta (when the target spans machines); parallel-edge deposits do
 // not — they are already replicated on every machine of the target.
 //
-// Two semantics of the same sweep, both frontier-driven and in ascending
-// lvid order:
+// Two semantics of the same sweep, both in ascending lvid order:
 //   - Gauss-Seidel: deposits are visible to later vertices of the same
-//     sweep (the lazy local computation stage).
+//     sweep (the lazy local computation stage). It walks the has_msg words
+//     in place (Bitset::find_next) and needs no worklist.
 //   - snapshot: only the vertices pending at entry apply, each with its
-//     entry accumulator (Algorithm 1's coherency point).
+//     entry accumulator (Algorithm 1's coherency point). It collects the
+//     entry frontier into the sweep scratch first.
 // Either way every deposit folds directly into its slot in emission order
 // (vertex ascending, then out-edge order), so the folded bits are a pure
 // function of the entry state. Parallelism lives one level up: machines run
-// concurrently on the shared pool, each sweeping its own part.
+// concurrently on the shared pool, each sweeping its own part — so every
+// flag write here (deposits, has_msg clears, applied marks) is an
+// owner-only plain write.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "engine/state.hpp"
@@ -131,7 +132,7 @@ void apply_and_scatter(const P& prog, const partition::Part& part,
   const VertexInfo info = vertex_info<P>(part, v);
   ++c.applies;
   ++c.work;
-  s.applied[v] = 1;
+  s.applied.set(v);
   const auto payload = prog.apply(s.vdata[v], info, m);
   if (!payload) return;
   for (std::uint64_t e = part.offsets[v]; e < part.offsets[v + 1]; ++e) {
@@ -154,25 +155,15 @@ template <VertexProgram P>
 SweepCounters sweep_snapshot(const P& prog, const partition::Part& part,
                              PartState<P>& s) {
   SweepCounters c;
-  const lvid_t n = part.num_local();
   auto& sc = s.scratch;
   sc.snapshot.clear();
   sc.accums.clear();
-  if (s.frontier.is_dense() || !s.frontier.tracking()) {
-    for (lvid_t v = 0; v < n; ++v) {
-      if (s.has_msg[v]) sc.snapshot.push_back(v);
-    }
-    c.scanned += n;
-  } else {
-    s.frontier.sort_unique();
-    c.scanned += s.frontier.entries().size();
-    for (const lvid_t v : s.frontier.entries()) {
-      if (s.has_msg[v]) sc.snapshot.push_back(v);
-    }
-  }
+  s.frontier.sort_unique();
+  c.scanned += s.frontier.for_each_flagged(
+      s.has_msg, [&](lvid_t v) { sc.snapshot.push_back(v); });
   for (const lvid_t v : sc.snapshot) {
     sc.accums.push_back(s.msg[v]);
-    s.has_msg[v] = 0;
+    s.has_msg.reset(v);
   }
   s.frontier.clear();  // fully consumed; deposits below re-arm it
   for (std::size_t i = 0; i < sc.snapshot.size(); ++i) {
@@ -181,82 +172,60 @@ SweepCounters sweep_snapshot(const P& prog, const partition::Part& part,
   return c;
 }
 
-/// Serial Gauss-Seidel sweep, frontier-driven. Processes pending vertices in
-/// ascending lvid order (a min-heap worklist when sparse, a flag scan when
-/// dense), which reproduces the historical whole-array scan bit-for-bit:
-/// fresh activations *ahead* of the cursor join this sweep, activations at
-/// or behind it carry to the next sweep — exactly what a scan would do.
+/// Serial Gauss-Seidel sweep: an ascending walk of the has_msg words
+/// (Bitset::find_next) that re-reads each word as it goes, so fresh
+/// activations *ahead* of the cursor join this sweep and activations at or
+/// behind it (including v's own self-loops) carry to the next sweep —
+/// exactly what a whole-array flag scan does.
+///
+/// Every flag is listed in the frontier while it is sparse, so the walk
+/// visits the same vertices as the entry list would, in ascending order.
+/// The list itself only keeps the bookkeeping: the entry count and the
+/// per-apply triage of fresh activations are the sparse share of
+/// sweep_scanned, and the triage compacts the carried-over activations in
+/// place as the next sweep's frontier.
 template <VertexProgram P>
 SweepCounters sweep_gauss_seidel(const P& prog, const partition::Part& part,
                                  PartState<P>& s) {
   SweepCounters c;
   const lvid_t n = part.num_local();
+  const auto apply_at = [&](lvid_t v) {
+    const typename P::Msg m = s.msg[v];
+    s.has_msg.reset(v);
+    apply_and_scatter(prog, part, s, v, m, c);
+  };
 
+  std::size_t v = s.has_msg.find_next(0);
   if (s.frontier.is_dense() || !s.frontier.tracking()) {
     // Dense: the flags are the frontier. Behind-deposits leave their flags up
     // for the next sweep, so the frontier stays dense (invariant intact).
-    for (lvid_t v = 0; v < n; ++v) {
-      if (!s.has_msg[v]) continue;
-      const typename P::Msg m = s.msg[v];
-      s.has_msg[v] = 0;
-      apply_and_scatter(prog, part, s, v, m, c);
-    }
     c.scanned += n;
-    return c;
-  }
-
-  // Sparse: seed a min-heap from the entry list (entries may be stale or
-  // duplicated — the flag guard below filters both), then pop ascending.
-  auto& heap = s.scratch.heap;
-  {
+  } else {
     auto& list = s.frontier.entries();
-    heap.assign(list.begin(), list.end());
+    c.scanned += list.size();  // entries may be stale or duplicated
     list.clear();
+    std::size_t carry = 0;  // entries()[0, carry) = next sweep's frontier
+    for (; v < n; v = s.has_msg.find_next(v + 1)) {
+      apply_at(static_cast<lvid_t>(v));
+      if (s.frontier.is_dense()) {
+        // An activation burst crossed the density threshold and dropped the
+        // sparse bookkeeping; the walk goes on over the flags alone.
+        c.scanned += n - v - 1;
+        v = s.has_msg.find_next(v + 1);
+        break;
+      }
+      // Triage fresh activations: ahead of the cursor is the walk's; at or
+      // behind it carries to the next sweep, compacted in place at the
+      // front of the list.
+      for (std::size_t i = carry; i < list.size(); ++i) {
+        ++c.scanned;
+        if (list[i] <= v) list[carry++] = list[i];
+      }
+      list.resize(carry);
+    }
   }
-  std::make_heap(heap.begin(), heap.end(), std::greater<>{});
-  c.scanned += heap.size();
-
-  std::size_t carry = 0;  // entries()[0, carry) = next sweep's frontier
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-    const lvid_t v = heap.back();
-    heap.pop_back();
-    if (!s.has_msg[v]) continue;  // stale or duplicate worklist entry
-    const typename P::Msg m = s.msg[v];
-    s.has_msg[v] = 0;
-    apply_and_scatter(prog, part, s, v, m, c);
-
-    if (s.frontier.is_dense()) {
-      // An activation burst crossed the density threshold and dropped the
-      // sparse bookkeeping. Every still-pending vertex is > v (behinds carry
-      // over, in both representations), so scanning flags from v+1 visits
-      // exactly what the serial scan would have visited next.
-      heap.clear();
-      c.scanned += n - v - 1;
-      for (lvid_t u = v + 1; u < n; ++u) {
-        if (!s.has_msg[u]) continue;
-        const typename P::Msg mu = s.msg[u];
-        s.has_msg[u] = 0;
-        apply_and_scatter(prog, part, s, u, mu, c);
-      }
-      return c;
-    }
-
-    // Triage fresh activations: ahead of the cursor joins this sweep's
-    // worklist; at or behind it (including v's own self-loops) carries to
-    // the next sweep, compacted in place at the front of the list.
-    auto& list = s.frontier.entries();
-    for (std::size_t i = carry; i < list.size(); ++i) {
-      const lvid_t u = list[i];
-      ++c.scanned;
-      if (u > v) {
-        heap.push_back(u);
-        std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-      } else {
-        list[carry++] = u;
-      }
-    }
-    list.resize(carry);
+  for (; v < n; v = s.has_msg.find_next(v + 1)) {
+    apply_at(static_cast<lvid_t>(v));
   }
   return c;
 }

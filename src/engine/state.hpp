@@ -1,14 +1,20 @@
 // Per-machine runtime state shared by all engines: the paper's vdata[v],
 // message[v], deltaMsg[v] tables (Section 3.2) plus scatter-payload staging
 // used by the eager engines' master->mirror broadcasts, the active-vertex
-// frontiers that make sparse supersteps cheap, and the sweep scratch the
-// lazy engines' local sweeps reuse across supersteps.
+// frontiers that make sparse supersteps cheap, and the snapshot sweep's
+// scratch, reused across supersteps.
 //
 // PartState is a slab arena: one cache-line-aligned allocation per simulated
 // machine carved into SoA sections (vdata | msg | delta | payload | four
 // packed flag bitsets), so an engine run touches one contiguous block per
 // machine instead of seven independently-allocated vectors, and copying a
 // machine image (recovery guard) is a single memcpy.
+//
+// Deposits come in two flavours that follow the Bitset write contract:
+// deposit_msg/deposit_delta record frontier activations and are owner-only,
+// so they write flags plainly; deposit_msg_raw is for phases where other
+// machines' bodies touch the same flag words, so it uses load() and the
+// atomic proxy.
 #pragma once
 
 #include <cassert>
@@ -95,17 +101,15 @@ struct InitInjection {
   const void* vdata = nullptr;
 };
 
-/// Per-machine sweep scratch, reserved at PartState::resize to hard bounds
-/// so steady-state sweeps never grow it. A fixed per-vertex cost like the
-/// slab, so SimMetrics::state_bytes leaves it out.
+/// Per-machine snapshot-sweep scratch, reserved at PartState::resize to its
+/// hard bound so steady-state sweeps never grow it. A fixed per-vertex cost
+/// like the slab, so SimMetrics::state_bytes leaves it out.
 template <class Msg>
 struct SweepScratch {
   // Consumed-frontier snapshot (ascending lvids) and its accumulators; at
   // most every local vertex.
   std::vector<lvid_t> snapshot;
   std::vector<Msg> accums;
-  // Gauss-Seidel worklist (binary min-heap of pending lvids).
-  std::vector<lvid_t> heap;
 };
 
 /// Per-machine runtime state on a single slab. Sections (each start aligned
@@ -162,15 +166,11 @@ struct PartState {
     if (slab_bytes_ > 0) std::memset(slab_, 0, slab_bytes_);
     frontier.reset(n);
     delta_frontier.reset(n);
-    // Pre-size the sweep scratch to its hard bounds. The snapshot holds
-    // each pending lvid once. The Gauss-Seidel worklist holds every lvid
-    // pending at once (activation is gated on the has_msg 0->1 transition,
-    // so a live vertex enters the heap once per sweep) plus a full seed
-    // list of stale entries.
+    // Pre-size the sweep scratch to its hard bound: the snapshot holds each
+    // pending lvid once. (The Gauss-Seidel sweep needs no scratch: it walks
+    // the has_msg words in place.)
     scratch.snapshot.reserve(n);
     scratch.accums.reserve(n);
-    scratch.heap.reserve(static_cast<std::size_t>(n) +
-                         frontier.sparse_capacity());
   }
 
   /// Active-message count via bitset popcount (O(n/64)); the debug build
@@ -301,14 +301,16 @@ VertexInfo vertex_info(const partition::Part& part, lvid_t v) {
 }
 
 /// Sum-combines `m` into the message slot of `v` WITHOUT touching the
-/// frontier; returns whether this was a fresh (0->1) activation. For
-/// contexts that record activations out-of-band: cross-machine deliveries
-/// (frontier lists are not thread-safe) and folds whose flag is consumed
-/// before the next frontier derivation.
+/// frontier; returns whether this was a fresh (0->1) activation. Used in
+/// phases where other machines' bodies touch v's flag word at the same time
+/// (lazy-block's cross-machine delivery, the sync gather's own-slot folds
+/// that other masters read), hence load() and the atomic proxy. Callers
+/// record fresh activations out-of-band (frontier lists are not
+/// thread-safe) or consume the flag before the next frontier derivation.
 template <VertexProgram P>
 bool deposit_msg_raw(const P& prog, PartState<P>& s, lvid_t v,
                      const typename P::Msg& m) {
-  if (s.has_msg[v]) {
+  if (s.has_msg.load(v)) {
     s.msg[v] = prog.sum(s.msg[v], m);
     return false;
   }
@@ -317,35 +319,41 @@ bool deposit_msg_raw(const P& prog, PartState<P>& s, lvid_t v,
   return true;
 }
 
+namespace detail {
+
+/// Owner-only sum-combine of `m` into slot v of (vals, flags) with plain
+/// flag writes; returns whether the flag went 0->1.
+template <VertexProgram P>
+bool fold_owned(const P& prog, ArenaSpan<typename P::Msg>& vals,
+                Bitset& flags, lvid_t v, const typename P::Msg& m) {
+  if (flags[v]) {
+    vals[v] = prog.sum(vals[v], m);
+    return false;
+  }
+  vals[v] = m;
+  flags.set(v);
+  return true;
+}
+
+}  // namespace detail
+
 /// Sum-combines `m` into the message slot of `v`, recording fresh
-/// activations in the frontier; returns whether it was one.
+/// activations in the frontier; returns whether it was one. Owner-only
+/// (the frontier is not thread-safe), so the flag write is plain.
 template <VertexProgram P>
 bool deposit_msg(const P& prog, PartState<P>& s, lvid_t v,
                  const typename P::Msg& m) {
-  const bool fresh = deposit_msg_raw(prog, s, v, m);
+  const bool fresh = detail::fold_owned(prog, s.msg, s.has_msg, v, m);
   if (fresh) s.frontier.activate(v);
   return fresh;
 }
 
-/// Delta-slot counterpart of deposit_msg_raw (one-edge-mode accumulation).
-template <VertexProgram P>
-bool deposit_delta_raw(const P& prog, PartState<P>& s, lvid_t v,
-                       const typename P::Msg& m) {
-  if (s.has_delta[v]) {
-    s.delta[v] = prog.sum(s.delta[v], m);
-    return false;
-  }
-  s.delta[v] = m;
-  s.has_delta[v] = 1;
-  return true;
-}
-
-/// Sum-combines `m` into the delta slot of `v`, recording fresh activations
-/// in the delta frontier; returns whether it was one.
+/// Delta-slot counterpart of deposit_msg (one-edge-mode accumulation),
+/// recording fresh activations in the delta frontier.
 template <VertexProgram P>
 bool deposit_delta(const P& prog, PartState<P>& s, lvid_t v,
                    const typename P::Msg& m) {
-  const bool fresh = deposit_delta_raw(prog, s, v, m);
+  const bool fresh = detail::fold_owned(prog, s.delta, s.has_delta, v, m);
   if (fresh) s.delta_frontier.activate(v);
   return fresh;
 }

@@ -1,27 +1,153 @@
-// Frontier worklist + local sweep tests: the sparse/dense representation
-// switch, sweep equivalence against reference whole-array scans (the
-// historical implementation), and the scan-work reduction on sparse runs.
+// Flag bitset + frontier worklist + local sweep tests: the bitset's word walk
+// (find_next) and its plain vs atomic writes, the sparse/dense
+// representation switch, sweep equivalence against reference whole-array
+// scans (the historical implementation), and the scan-work reduction on
+// sparse runs.
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "lazygraph.hpp"
 
 namespace lazygraph {
 namespace {
 
+using engine::Bitset;
 using engine::Frontier;
 using engine::PartState;
 using engine::SweepCounters;
 using engine::SweepMode;
+
+/// A standalone flag set: owned words behind a Bitset view.
+struct OwnedBits {
+  std::vector<std::uint64_t> words;
+  Bitset bits;
+
+  explicit OwnedBits(std::size_t n, std::uint64_t fill = 0)
+      : words(Bitset::words_for(n), fill) {
+    bits.attach(words.data(), n);
+  }
+  OwnedBits(const OwnedBits&) = delete;
+  OwnedBits& operator=(const OwnedBits&) = delete;
+
+  /// Every flagged index, by the per-index read.
+  std::vector<std::size_t> scan() const {
+    std::vector<std::size_t> out;
+    const Bitset& b = bits;
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      if (b[i]) out.push_back(i);
+    }
+    return out;
+  }
+
+  /// Every flagged index, by the find_next word walk.
+  std::vector<std::size_t> walk() const {
+    std::vector<std::size_t> out;
+    for (std::size_t i = bits.find_next(0); i < bits.size();
+         i = bits.find_next(i + 1)) {
+      out.push_back(i);
+    }
+    return out;
+  }
+};
+
+// ------------------------------------------------------------------ Bitset
+
+TEST(Bitset, FindNextOnEmptySet) {
+  for (const std::size_t n : {0u, 1u, 64u, 200u}) {
+    OwnedBits f(n);
+    EXPECT_EQ(f.bits.find_next(0), n) << "n " << n;
+    EXPECT_EQ(f.bits.find_next(n), n) << "n " << n;
+    EXPECT_TRUE(f.walk().empty()) << "n " << n;
+  }
+}
+
+// Bits 0, 63, 64 and n-1 sit on both sides of a word boundary and at the
+// end of the set, for n a multiple of 64 and not.
+TEST(Bitset, FindNextAtWordBoundaries) {
+  for (const std::size_t n : {128u, 130u, 192u, 250u}) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    OwnedBits f(n);
+    for (const std::size_t i : {std::size_t{0}, std::size_t{63},
+                                std::size_t{64}, n - 1}) {
+      f.bits.set(i);
+    }
+    const std::vector<std::size_t> want = {0, 63, 64, n - 1};
+    EXPECT_EQ(f.walk(), want);
+    EXPECT_EQ(f.scan(), want);
+    EXPECT_EQ(f.bits.find_next(0), 0u);
+    EXPECT_EQ(f.bits.find_next(1), 63u);
+    EXPECT_EQ(f.bits.find_next(63), 63u);
+    EXPECT_EQ(f.bits.find_next(64), 64u);
+    EXPECT_EQ(f.bits.find_next(65), n - 1);
+    EXPECT_EQ(f.bits.find_next(n - 1), n - 1);
+    EXPECT_EQ(f.bits.find_next(n), n);
+    EXPECT_EQ(f.bits.find_next(n + 100), n);
+  }
+}
+
+// PartState::poison scribbles 0xAB over whole words, tail bits included:
+// the walk, count and any must see only the bits below size().
+TEST(Bitset, PoisonedTailBitsAreNeverReturned) {
+  constexpr std::uint64_t kPoison = 0xABABABABABABABABULL;
+  for (const std::size_t n : {1u, 2u, 66u, 128u, 130u, 191u}) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    OwnedBits f(n, kPoison);
+    const std::vector<std::size_t> live = f.scan();
+    EXPECT_EQ(f.walk(), live);
+    EXPECT_EQ(f.bits.count(), live.size());
+    EXPECT_EQ(f.bits.any(), !live.empty());
+    for (const std::size_t i : live) f.bits.reset(i);
+    EXPECT_EQ(f.bits.find_next(0), n);
+    EXPECT_EQ(f.bits.count(), 0u);
+    EXPECT_FALSE(f.bits.any());
+    // The tail word still carries poison past size().
+    if (n % Bitset::kWordBits != 0) {
+      EXPECT_NE(f.words.back(), 0u);
+    }
+  }
+}
+
+// The owner-only plain writes and the shared-phase atomic proxy leave the
+// same words behind, and count/any agree with the per-index read.
+TEST(Bitset, PlainWritesMatchAtomicProxy) {
+  for (const std::size_t n : {64u, 130u, 1000u}) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    OwnedBits plain(n), proxy(n);
+    std::mt19937 rng(static_cast<unsigned>(n));
+    for (int op = 0; op < 4000; ++op) {
+      const std::size_t i = rng() % n;
+      const bool on = rng() % 3 != 0;
+      if (on) {
+        plain.bits.set(i);
+      } else {
+        plain.bits.reset(i);
+      }
+      proxy.bits[i] = on;
+    }
+    EXPECT_EQ(plain.words, proxy.words);
+    EXPECT_TRUE(plain.bits == proxy.bits);
+    const std::vector<std::size_t> live = plain.scan();
+    EXPECT_EQ(plain.walk(), live);
+    EXPECT_EQ(plain.bits.count(), live.size());
+    EXPECT_EQ(plain.bits.any(), !live.empty());
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(plain.bits.load(i), std::as_const(plain.bits)[i]);
+    }
+  }
+}
 
 // ---------------------------------------------------------------- Frontier
 
 TEST(Frontier, SparseActivationsAreFlagGuarded) {
   Frontier f;
   f.reset(1000);
-  std::vector<std::uint8_t> flags(1000, 0);
-  flags[3] = flags[7] = 1;
+  OwnedBits flags(1000);
+  flags.bits.set(3);
+  flags.bits.set(7);
   f.activate(3);
   f.activate(7);
   f.activate(11);  // stale: flag never set
@@ -29,7 +155,7 @@ TEST(Frontier, SparseActivationsAreFlagGuarded) {
 
   std::vector<lvid_t> seen;
   const std::size_t scanned =
-      f.for_each_flagged(flags, [&](lvid_t v) { seen.push_back(v); });
+      f.for_each_flagged(flags.bits, [&](lvid_t v) { seen.push_back(v); });
   EXPECT_EQ(scanned, 3u);  // three entries examined, two live
   EXPECT_EQ(seen, (std::vector<lvid_t>{3, 7}));
 }
@@ -37,9 +163,9 @@ TEST(Frontier, SparseActivationsAreFlagGuarded) {
 TEST(Frontier, CrossingThresholdGoesDenseAndScansFlags) {
   Frontier f;
   f.reset(1000);  // threshold = max(64, 125) = 125
-  std::vector<std::uint8_t> flags(1000, 0);
+  OwnedBits flags(1000);
   for (lvid_t v = 0; v < 200; ++v) {
-    flags[v] = 1;
+    flags.bits.set(v);
     f.activate(v);
   }
   EXPECT_TRUE(f.is_dense());
@@ -47,7 +173,7 @@ TEST(Frontier, CrossingThresholdGoesDenseAndScansFlags) {
 
   std::size_t live = 0;
   const std::size_t scanned =
-      f.for_each_flagged(flags, [&](lvid_t) { ++live; });
+      f.for_each_flagged(flags.bits, [&](lvid_t) { ++live; });
   EXPECT_EQ(scanned, 1000u);  // dense = full flag scan
   EXPECT_EQ(live, 200u);
 }
@@ -68,10 +194,10 @@ TEST(Frontier, ExactThresholdStaysSparseOneMoreGoesDense) {
 
   // Flags carry the information from the switch on: the flipped frontier
   // scans every flag, finding the boundary activation too.
-  std::vector<std::uint8_t> flags(1000, 0);
-  for (lvid_t v = 0; v <= 125; ++v) flags[v] = 1;
+  OwnedBits flags(1000);
+  for (lvid_t v = 0; v <= 125; ++v) flags.bits.set(v);
   std::size_t live = 0;
-  EXPECT_EQ(f.for_each_flagged(flags, [&](lvid_t) { ++live; }), 1000u);
+  EXPECT_EQ(f.for_each_flagged(flags.bits, [&](lvid_t) { ++live; }), 1000u);
   EXPECT_EQ(live, 126u);
 }
 
@@ -100,10 +226,10 @@ TEST(Frontier, TrackingOffAlwaysScansFlags) {
   f.set_tracking(false);
   f.activate(3);  // ignored
   EXPECT_TRUE(f.entries().empty());
-  std::vector<std::uint8_t> flags(50, 0);
-  flags[10] = 1;
+  OwnedBits flags(50);
+  flags.bits.set(10);
   std::size_t live = 0;
-  EXPECT_EQ(f.for_each_flagged(flags, [&](lvid_t) { ++live; }), 50u);
+  EXPECT_EQ(f.for_each_flagged(flags.bits, [&](lvid_t) { ++live; }), 50u);
   EXPECT_EQ(live, 1u);
 }
 

@@ -109,6 +109,29 @@ TEST(SweepGolden, LazyBlockSplitPageRank) {
                  .sim_seconds = 0x1.eea030128898cp-1});
 }
 
+// Lazy-block SSSP on a 32x32 road lattice: Stage 1 runs a few hundred sparse
+// Gauss-Seidel sub-sweeps, three of which cross the density threshold
+// mid-sweep, next to whole dense sub-sweeps. Pinned to the min-heap sparse
+// sweep that the has_msg word walk replaced; the walk must visit the same
+// vertices in the same order and tally the same scan work.
+TEST(SweepGolden, LazyBlockRoadSssp) {
+  const Graph g = gen::road_lattice(32, 32, 0.3, 2018, {1.0f, 64.0f});
+  const auto dg = testsupport::build_dgraph(g, 4);
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("cluster threads " + std::to_string(threads));
+    sim::Cluster cluster({.machines = 4, .threads = threads});
+    const auto r = engine::run({.kind = engine::EngineKind::kLazyBlock}, dg,
+                               algos::SSSP{.source = 0}, cluster);
+    ASSERT_TRUE(r.converged);
+    EXPECT_EQ(digest(r.data), 0x73da1517c38968b1ULL);
+    EXPECT_EQ(r.supersteps, 20u);
+    EXPECT_EQ(r.metrics.applies, 3936u);
+    EXPECT_EQ(r.metrics.local_subiterations, 281u);
+    EXPECT_EQ(r.metrics.sweep_scanned, 19957u);
+    EXPECT_EQ(r.metrics.sim_seconds(), 0x1.8995ed50847cdp-1);
+  }
+}
+
 // ------------------------------------------------- programs × engines cells
 
 struct CellGolden {

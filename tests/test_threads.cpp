@@ -1,6 +1,7 @@
 // Thread-count invariance of the parallel machine phases: the owner-computes
-// SyncEngine superstep and the plan layer's lowering cluster must produce the
-// same data, supersteps and counters at any cluster thread count, and a
+// SyncEngine superstep, lazy-block's local sweeps and delta delivery, and
+// the plan layer's lowering cluster must produce the same data, supersteps
+// and counters at any cluster thread count, and a
 // Cluster must never run more machine bodies at once than its thread cap.
 // These are the tests the ThreadSanitizer build runs (label `threads`).
 #include <gtest/gtest.h>
@@ -46,33 +47,45 @@ void expect_same_metrics(const sim::SimMetrics& a, const sim::SimMetrics& b,
   EXPECT_EQ(a.overhead_seconds, b.overhead_seconds) << where;
 }
 
-/// Runs `prog` on the sync engine at cluster threads 1, 2, 4 and 7 and
-/// checks every run against the serial one: data (via `eq`), supersteps,
-/// convergence and every metric.
+/// Runs `prog` on engine `kind` over `dg` at cluster threads 1, 2, 4 and 7
+/// and checks every run against the serial one: data (via `eq`),
+/// supersteps, convergence and every metric. Returns the serial run's
+/// metrics.
 template <class P, class Eq>
-void expect_sync_thread_invariant(const Graph& g, const P& prog, Eq eq) {
-  const partition::DistributedGraph dg = testsupport::build_dgraph(g, 8);
+sim::SimMetrics expect_thread_invariant(
+    const partition::DistributedGraph& dg, EngineKind kind, const P& prog,
+    Eq eq) {
   engine::RunConfig cfg;
-  cfg.kind = EngineKind::kSync;
+  cfg.kind = kind;
   std::vector<engine::RunResult<P>> runs;
   for (const std::size_t threads : {1u, 2u, 4u, 7u}) {
     sim::Cluster cluster({.machines = 8, .threads = threads});
     runs.push_back(engine::run(cfg, dg, prog, cluster));
   }
-  ASSERT_TRUE(runs[0].converged);
-  ASSERT_GT(runs[0].supersteps, 2u);
+  EXPECT_TRUE(runs[0].converged);
+  EXPECT_GT(runs[0].supersteps, 2u);
   for (std::size_t i = 1; i < runs.size(); ++i) {
     const std::string where = "run " + std::to_string(i);
     EXPECT_EQ(runs[i].converged, runs[0].converged) << where;
     EXPECT_EQ(runs[i].supersteps, runs[0].supersteps) << where;
     expect_same_metrics(runs[i].metrics, runs[0].metrics, where);
-    ASSERT_EQ(runs[i].data.size(), runs[0].data.size());
-    for (std::size_t v = 0; v < runs[0].data.size(); ++v) {
-      ASSERT_TRUE(eq(runs[i].data[v], runs[0].data[v]))
-          << where << " vertex " << v;
+    EXPECT_EQ(runs[i].data.size(), runs[0].data.size()) << where;
+    const std::size_t n = std::min(runs[i].data.size(), runs[0].data.size());
+    for (std::size_t v = 0; v < n; ++v) {
+      if (!eq(runs[i].data[v], runs[0].data[v])) {
+        ADD_FAILURE() << where << " vertex " << v;
+        break;
+      }
     }
     EXPECT_EQ(runs[i].handoff.touched, runs[0].handoff.touched) << where;
   }
+  return runs[0].metrics;
+}
+
+template <class P, class Eq>
+void expect_sync_thread_invariant(const Graph& g, const P& prog, Eq eq) {
+  expect_thread_invariant(testsupport::build_dgraph(g, 8), EngineKind::kSync,
+                          prog, eq);
 }
 
 Graph directed_graph() {
@@ -112,6 +125,35 @@ TEST(SyncThreads, KcoreBitIdenticalAcrossClusterThreads) {
       [](const algos::KCore::VData& a, const algos::KCore::VData& b) {
         return a.core == b.core && a.deleted == b.deleted;
       });
+}
+
+// Lazy-block runs its Stage-1 Gauss-Seidel sweeps and the coherency-point
+// sweeps with plain flag writes (owner-only phases), and its delta delivery
+// with relaxed atomic flag ops (masters write their replicas' words on other
+// machines). PageRank on an edge-split graph drives the delivery hard;
+// SSSP on a road lattice spends its time in Stage 1's sparse sweeps.
+TEST(LazyBlockThreads, SplitPageRankBitIdenticalAcrossClusterThreads) {
+  const auto dg = testsupport::build_dgraph(
+      directed_graph(), 8, partition::CutKind::kCoordinated, 7,
+      /*split=*/true);
+  ASSERT_GT(dg.parallel_edge_copies(), 0u);
+  expect_thread_invariant(
+      dg, EngineKind::kLazyBlock, algos::PageRankDelta{.tol = 1e-4},
+      [](const algos::PageRankDelta::VData& a,
+         const algos::PageRankDelta::VData& b) {
+        return a.rank == b.rank && a.pending_delta == b.pending_delta;
+      });
+}
+
+TEST(LazyBlockThreads, RoadSsspBitIdenticalAcrossClusterThreads) {
+  const Graph g = gen::road_lattice(40, 40, 0.3, 5, {1.0f, 64.0f});
+  const sim::SimMetrics m = expect_thread_invariant(
+      testsupport::build_dgraph(g, 8), EngineKind::kLazyBlock,
+      algos::SSSP{.source = 0},
+      [](const algos::SSSP::VData& a, const algos::SSSP::VData& b) {
+        return a.dist == b.dist;
+      });
+  EXPECT_GT(m.local_subiterations, 0u);
 }
 
 // The plan layer's cluster takes the executor's thread budget: a lowering
