@@ -16,6 +16,10 @@
 //     m2m pattern). One global barrier. Then the coherency-point
 //     apply+scatter sweep runs, after which all replicas of a vertex that
 //     consumed the same message multiset hold the same global view.
+//     The exchange runs as three machine-parallel phases: every replica
+//     machine buckets its flagged replicas by master, every master machine
+//     merges its buckets into a mark bitset, and every master machine walks
+//     its marks ascending to fold, encode and deliver (exchange_deltas).
 //
 // The adaptive interval model (Section 4.2.1) decides when lazy mode turns
 // on; per Algorithm 1 line 16 it is sticky once enabled.
@@ -26,6 +30,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -66,27 +71,7 @@ class LazyBlockAsyncEngine {
     states_ = make_states(dg_, prog_, init_);
     cluster_.metrics().sweep_scanned +=
         init_lazy_messages(prog_, dg_, states_, init_);
-    exch_pending_.assign(p, {});
-    exch_fresh_.assign(p, {});
-    // Reserve the pooled exchange scratch to its structural worst case —
-    // every replica of every spanning master flagged in one exchange — so
-    // steady-state coherency points never grow these buffers (the alloc
-    // probe asserts supersteps allocate nothing after warmup).
-    for (machine_t m = 0; m < p; ++m) {
-      const partition::Part& part = dg_.part(m);
-      std::uint64_t replicas = 0;
-      for (lvid_t v = 0; v < part.num_local(); ++v) {
-        if (part.master[v] == m) replicas += 1 + part.remote_replicas[v].size();
-      }
-      exch_pending_[m].reserve(replicas);
-      exch_fresh_[m].reserve(replicas);
-    }
-    exch_est_a2a_.assign(p, 0);
-    exch_est_m2m_.assign(p, 0);
-    exch_msgs_.assign(p, 0);
-    exch_bytes_.assign(p, 0);
-    exch_up_coders_.assign(std::size_t{p} * p, {});
-    exch_down_coders_.assign(std::size_t{p} * p, {});
+    reserve_exchange_scratch();
     recovery::Recoverer<P> recoverer(cluster_, dg_);
 
     RunResult<P> result;
@@ -210,150 +195,191 @@ class LazyBlockAsyncEngine {
     t->record_superstep(snap);
   }
 
+  /// Sizes the pooled exchange scratch to its structural worst case — every
+  /// spanning replica flagged in one exchange — so steady-state coherency
+  /// points never grow it (the alloc probe asserts supersteps allocate
+  /// nothing after warmup).
+  void reserve_exchange_scratch() {
+    const machine_t p = dg_.num_machines();
+    exch_buckets_.assign(std::size_t{p} * p, {});
+    exch_fresh_.assign(p, {});
+    exch_mark_words_.assign(p, {});
+    exch_marks_.assign(p, {});
+    exch_tally_.assign(p, {});
+    exch_up_coders_.assign(std::size_t{p} * p, {});
+    exch_down_coders_.assign(std::size_t{p} * p, {});
+    // cap[r*p + m]: spanning replicas on machine r whose master is on m.
+    std::vector<std::size_t> cap(std::size_t{p} * p, 0);
+    for (machine_t r = 0; r < p; ++r) {
+      const partition::Part& part = dg_.part(r);
+      for (lvid_t u = 0; u < part.num_local(); ++u) {
+        if (part.num_replicas(u) > 1) {
+          ++cap[std::size_t{r} * p + part.master[u]];
+        }
+      }
+      exch_mark_words_[r].assign(Bitset::words_for(part.num_local()), 0);
+      exch_marks_[r].attach(exch_mark_words_[r].data(), part.num_local());
+    }
+    for (machine_t m = 0; m < p; ++m) {
+      std::size_t replicas = 0;  // of m's spanning masters
+      for (machine_t r = 0; r < p; ++r) {
+        const std::size_t i = std::size_t{r} * p + m;
+        exch_buckets_[i].reserve(cap[i]);
+        replicas += cap[i];
+      }
+      exch_fresh_[m].reserve(replicas);
+    }
+  }
+
   // Exchange_deltaMsgs: estimate both patterns' volumes with the paper's
   // equations, pick a mode, deliver others' deltas into every replica's
-  // message slot, clear deltas. Parallelized by master ownership: vertex v is
-  // handled exclusively by its master's machine, so all reads/writes of v's
-  // replica slots are race-free (frontier appends are NOT — fresh
-  // activations are buffered per worker and applied serially after the
-  // join). The flag words are shared with other masters' replicas, so the
-  // delivery pass reads them with load() and writes them through the
-  // atomic proxy. Only vertices on the delta frontiers are visited. Returns
-  // the comm-mode decision it made.
+  // message slot, clear deltas. Three machine-parallel phases, each owned
+  // per machine so the run stays bit-identical across cluster thread counts:
+  //
+  //   Derive (replica machine r): walk r's delta frontier and append the
+  //     master lvid of every flagged spanning replica to bucket [r][master].
+  //     Each flagged replica adds its share of the volume estimates:
+  //     (rnum-1)·B to a2a and 1·B to m2m.
+  //   Merge (master machine m, the coordinator): read the buckets [*][m]
+  //     into m's mark bitset. Each 0->1 mark adds the m2m per-master term
+  //     (rnum-2)·B. Summed, the shares give the paper's estimates
+  //     a2a = Σ_v nd_v·(rnum_v-1)·B and m2m = Σ_v (nd_v+rnum_v-2)·B, with
+  //     nd_v the number of v's replicas holding a delta.
+  //   Deliver (coordinator m): walk m's mark words ascending, clearing them.
+  //     Per master v, one replica walk in machine order folds the flagged
+  //     deltas and notes the wire-codec records; a second deposits "others'
+  //     deltas" into every replica and clears its delta flag.
+  //
+  // The estimates are deliberately on the UNCOMPRESSED per-record size: the
+  // paper's fitted cost curves were calibrated against raw volumes, and
+  // keeping the mode decision on raw bytes bounds how much the codec
+  // perturbs the trajectory. Every flagged replica is on its delta frontier
+  // exactly once (deposit_delta activates on the 0->1 flip and only this
+  // exchange clears the flag, dropping the frontier with it), so each is
+  // counted once; the debug build re-walks the replicas to check. The
+  // delivery's replica slots are race-free (v belongs to one coordinator),
+  // but flag words are shared with other masters' replicas, so it reads
+  // them with load() and writes through the atomic proxy; fresh activations
+  // are buffered per coordinator and applied to the (not thread-safe)
+  // frontiers after the join. Returns the comm-mode decision it made.
   CommDecision exchange_deltas() {
     const machine_t p = dg_.num_machines();
     constexpr std::uint64_t kDeltaBytes = wire_bytes<typename P::Msg>();
+    constexpr std::size_t kRecord = sizeof(typename P::Msg);
+    const auto bucket = [&](machine_t r, machine_t m) -> std::vector<lvid_t>& {
+      return exch_buckets_[std::size_t{r} * p + m];
+    };
 
-    // Derive per-master worklists from the delta frontiers. Every raised
-    // has_delta flag is cleared by the delivery pass below (deltas only
-    // exist on spanning vertices, all of which it visits), so the frontiers
-    // can be dropped now.
-    for (auto& l : exch_pending_) l.clear();
-    for (machine_t r = 0; r < p; ++r) {
+    cluster_.parallel_machines([&](machine_t r) {
       const partition::Part& rp = dg_.part(r);
       PartState<P>& rs = states_[r];
-      cluster_.metrics().sweep_scanned +=
+      for (machine_t m = 0; m < p; ++m) bucket(r, m).clear();
+      std::uint64_t a2a_records = 0, flagged = 0;
+      const std::size_t scanned =
           rs.delta_frontier.for_each_flagged(rs.has_delta, [&](lvid_t u) {
-            exch_pending_[rp.master[u]].push_back(rp.master_lvid[u]);
+            const std::uint32_t rnum = rp.num_replicas(u);
+            if (rnum <= 1) return;
+            bucket(r, rp.master[u]).push_back(rp.master_lvid[u]);
+            a2a_records += rnum - 1;
+            ++flagged;
           });
       rs.delta_frontier.clear();
-    }
-    cluster_.parallel_machines([&](machine_t m) {
-      auto& l = exch_pending_[m];
-      std::sort(l.begin(), l.end());
-      l.erase(std::unique(l.begin(), l.end()), l.end());
+      exch_tally_[r] = {.scanned = scanned,
+                        .est_a2a = a2a_records * kDeltaBytes,
+                        .est_m2m = flagged * kDeltaBytes};
     });
 
-    // Pass 1: volume estimates (read-only). Deliberately computed on the
-    // UNCOMPRESSED per-record size: the paper's fitted cost curves were
-    // calibrated against raw volumes, and keeping the mode decision on raw
-    // bytes bounds how much the codec perturbs the trajectory.
-    auto& est_a2a = exch_est_a2a_;
-    auto& est_m2m = exch_est_m2m_;
-    std::fill(est_a2a.begin(), est_a2a.end(), 0);
-    std::fill(est_m2m.begin(), est_m2m.end(), 0);
     cluster_.parallel_machines([&](machine_t m) {
       const partition::Part& part = dg_.part(m);
-      for (const lvid_t v : exch_pending_[m]) {
-        const std::uint32_t rnum = part.num_replicas(v);
-        if (rnum <= 1) continue;
-        std::uint32_t nd = states_[m].has_delta[v] ? 1 : 0;
-        for (const auto& [r, rl] : part.remote_replicas[v]) {
-          nd += states_[r].has_delta[rl] ? 1 : 0;
+      Bitset& marks = exch_marks_[m];
+      std::uint64_t m2m_records = 0;
+      for (machine_t r = 0; r < p; ++r) {
+        for (const lvid_t v : bucket(r, m)) {
+          if (marks[v]) continue;
+          marks.set(v);
+          m2m_records += part.num_replicas(v) - 2;
         }
-        if (nd == 0) continue;  // stale worklist entry
-        est_a2a[m] += static_cast<std::uint64_t>(nd) * (rnum - 1) * kDeltaBytes;
-        est_m2m[m] += static_cast<std::uint64_t>(nd + rnum - 2) * kDeltaBytes;
       }
+      exch_tally_[m].est_m2m += m2m_records * kDeltaBytes;
     });
+
     ExchangeEstimate est;
-    for (machine_t m = 0; m < p; ++m) {
-      est.a2a_bytes += est_a2a[m];
-      est.m2m_bytes += est_m2m[m];
+    for (const ExchangeTally& t : exch_tally_) {
+      cluster_.metrics().sweep_scanned += t.scanned;
+      est.a2a_bytes += t.est_a2a;
+      est.m2m_bytes += t.est_m2m;
     }
+#ifndef NDEBUG
+    const ExchangeEstimate recount = recount_estimate();
+    assert(recount.a2a_bytes == est.a2a_bytes &&
+           recount.m2m_bytes == est.m2m_bytes &&
+           "exchange_deltas: folded estimate disagrees with replica recount");
+#endif
     const CommDecision decision =
         decide_comm_mode(cfg_.comm_policy, cluster_.net(), est);
-    const sim::CommMode mode = decision.mode;
+    const bool a2a = decision.mode == sim::CommMode::kAllToAll;
 
-    // Pass 2: deliver and clear.
-    auto& msgs = exch_msgs_;
-    auto& bytes = exch_bytes_;
-    std::fill(msgs.begin(), msgs.end(), 0);
-    std::fill(bytes.begin(), bytes.end(), 0);
-    for (auto& c : exch_up_coders_) c.reset();
-    for (auto& c : exch_down_coders_) c.reset();
-    for (auto& f : exch_fresh_) f.clear();
     cluster_.parallel_machines([&](machine_t m) {
       const partition::Part& part = dg_.part(m);
+      Bitset& marks = exch_marks_[m];
+      wire::DeltaSizeCoder* up = &exch_up_coders_[std::size_t{m} * p];
+      wire::DeltaSizeCoder* down = &exch_down_coders_[std::size_t{m} * p];
+      for (machine_t r = 0; r < p; ++r) {
+        up[r].reset();
+        down[r].reset();
+      }
       auto& fresh = exch_fresh_[m];
-      for (const lvid_t v : exch_pending_[m]) {
+      fresh.clear();
+      std::uint64_t msgs = 0;
+      for (std::size_t i = marks.find_next(0); i < marks.size();
+           i = marks.find_next(i + 1)) {
+        marks.reset(i);
+        const lvid_t v = static_cast<lvid_t>(i);
         const std::uint32_t rnum = part.num_replicas(v);
-        if (rnum <= 1) continue;
+        const vid_t gid_v = part.gids[v];
+        const auto& remotes = part.remote_replicas[v];
 
-        // Collect contributions in deterministic (machine) order. The own
-        // (master-machine) replica participates like any other.
+        // Fold the contributions in machine order (remotes are sorted by
+        // machine; the master's own replica merges in like any other) and
+        // note their records on the per-machine-pair codec streams, whose
+        // gids ascend because v does. a2a: each contributor's record is
+        // relayed to all rnum-1 other replicas; m2m: every non-master
+        // contributor ships one record up, the master one per mirror down.
+        // Frame headers are charged once per non-empty stream.
         bool have = false;
         typename P::Msg total{};
         std::uint32_t nd = 0;
-        bool master_has = false;
+        std::uint64_t contributors = 0;  // bit rm: machine rm's replica
         auto fold = [&](machine_t rm, lvid_t rv) {
           PartState<P>& rs = states_[rm];
           if (!rs.has_delta.load(rv)) return;
           total = have ? prog_.sum(total, rs.delta[rv]) : rs.delta[rv];
           have = true;
           ++nd;
-          if (rm == part.master[v]) master_has = true;
+          contributors |= std::uint64_t{1} << rm;
+          if (a2a) {
+            up[rm].add(gid_v, kRecord, rnum - 1);
+          } else if (rm != m) {
+            up[rm].add(gid_v, kRecord);
+          }
         };
-        // remote_replicas is sorted by machine; merge own machine in order.
         bool self_done = false;
-        for (const auto& [r, rl] : part.remote_replicas[v]) {
+        for (const auto& [r, rl] : remotes) {
           if (!self_done && m < r) {
             fold(m, v);
             self_done = true;
           }
           fold(r, rl);
+          if (!a2a) down[r].add(gid_v, kRecord);
         }
         if (!self_done) fold(m, v);
-        if (nd == 0) continue;  // stale worklist entry
-
-        // Wire-codec accounting BEFORE delivery clears the flags: per
-        // machine-pair streams of strictly ascending gids (v ascends within
-        // this coordinator's worklist). a2a: each contributor's record body
-        // is relayed to all rnum-1 other replicas (copies); m2m: non-master
-        // contributors ship one record up, the master ships one per mirror
-        // down. Frame headers are charged once per non-empty stream.
-        const vid_t gid_v = part.gids[v];
-        if (mode == sim::CommMode::kAllToAll) {
-          auto note = [&](machine_t rm, lvid_t rv) {
-            if (states_[rm].has_delta.load(rv)) {
-              exch_up_coders_[std::size_t{m} * p + rm].add(
-                  gid_v, sizeof(typename P::Msg), rnum - 1);
-            }
-          };
-          note(m, v);
-          for (const auto& [r, rl] : part.remote_replicas[v]) note(r, rl);
-        } else {
-          auto note_up = [&](machine_t rm, lvid_t rv) {
-            if (rm != m && states_[rm].has_delta.load(rv)) {
-              exch_up_coders_[std::size_t{m} * p + rm].add(
-                  gid_v, sizeof(typename P::Msg));
-            }
-          };
-          note_up(m, v);
-          for (const auto& [r, rl] : part.remote_replicas[v]) note_up(r, rl);
-          for (const auto& [r, rl] : part.remote_replicas[v]) {
-            (void)rl;
-            exch_down_coders_[std::size_t{m} * p + r].add(
-                gid_v, sizeof(typename P::Msg));
-          }
-        }
+        assert(nd > 0 && "exchange_deltas: marked master without a delta");
 
         // Deliver "others' deltas" to every replica and clear its delta.
-        // Raw deposits: the target frontiers belong to other machines, so
-        // fresh activations are buffered and appended after the join.
+        // Raw deposits: the target frontiers belong to other machines.
         auto deliver = [&](machine_t rm, lvid_t rv) {
           PartState<P>& rs = states_[rm];
-          if (rs.has_delta.load(rv)) {
+          if ((contributors >> rm) & 1) {
             if (nd > 1 &&
                 deposit_msg_raw(prog_, rs, rv,
                                 without_own(prog_, total, rs.delta[rv]))) {
@@ -365,40 +391,63 @@ class LazyBlockAsyncEngine {
           }
         };
         deliver(m, v);
-        for (const auto& [r, rl] : part.remote_replicas[v]) deliver(r, rl);
+        for (const auto& [r, rl] : remotes) deliver(r, rl);
 
-        // Traffic accounting for the chosen pattern.
-        if (mode == sim::CommMode::kAllToAll) {
-          const std::uint64_t cnt =
-              static_cast<std::uint64_t>(nd) * (rnum - 1);
-          msgs[m] += cnt;
-          bytes[m] += cnt * kDeltaBytes;
-        } else {
-          const std::uint64_t cnt =
-              (nd - (master_has ? 1 : 0)) + (rnum - 1);
-          msgs[m] += cnt;
-          bytes[m] += cnt * kDeltaBytes;
-        }
+        msgs += a2a ? std::uint64_t{nd} * (rnum - 1)
+                    : nd - ((contributors >> m) & 1) + (rnum - 1);
       }
+      exch_tally_[m].msgs = msgs;
     });
+
+    std::uint64_t total_msgs = 0;
     for (machine_t m = 0; m < p; ++m) {
+      total_msgs += exch_tally_[m].msgs;
       for (const auto& [rm, rv] : exch_fresh_[m]) {
         states_[rm].frontier.activate(rv);
       }
     }
-    std::uint64_t total_msgs = 0, total_raw = 0;
-    for (machine_t m = 0; m < p; ++m) {
-      total_msgs += msgs[m];
-      total_raw += bytes[m];
-    }
     std::uint64_t total_wire = 0;
     for (const auto& c : exch_up_coders_) total_wire += c.total_bytes();
     for (const auto& c : exch_down_coders_) total_wire += c.total_bytes();
-    cluster_.charge_exchange(sim::SpanKind::kCoherencyExchange, mode,
-                             total_raw, total_wire, total_msgs,
+    cluster_.charge_exchange(sim::SpanKind::kCoherencyExchange, decision.mode,
+                             total_msgs * kDeltaBytes, total_wire, total_msgs,
                              &decision.prediction);
     return decision;
   }
+
+#ifndef NDEBUG
+  /// The paper's estimate equations evaluated directly: every marked master
+  /// re-walks its replicas' has_delta flags (what the folded shares replace).
+  ExchangeEstimate recount_estimate() const {
+    constexpr std::uint64_t kDeltaBytes = wire_bytes<typename P::Msg>();
+    ExchangeEstimate est;
+    for (machine_t m = 0; m < dg_.num_machines(); ++m) {
+      const partition::Part& part = dg_.part(m);
+      const Bitset& marks = exch_marks_[m];
+      for (std::size_t v = marks.find_next(0); v < marks.size();
+           v = marks.find_next(v + 1)) {
+        const std::uint64_t rnum = part.num_replicas(static_cast<lvid_t>(v));
+        std::uint64_t nd = states_[m].has_delta[v] ? 1 : 0;
+        for (const auto& [r, rl] : part.remote_replicas[v]) {
+          nd += states_[r].has_delta[rl] ? 1 : 0;
+        }
+        est.a2a_bytes += nd * (rnum - 1) * kDeltaBytes;
+        est.m2m_bytes += (nd + rnum - 2) * kDeltaBytes;
+      }
+    }
+    return est;
+  }
+#endif
+
+  /// One machine's per-exchange tallies, each written by its one owner per
+  /// phase: the frontier slots it scanned and its shares of the volume
+  /// estimates, then (as coordinator) the messages its pattern sends.
+  struct ExchangeTally {
+    std::uint64_t scanned = 0;
+    std::uint64_t est_a2a = 0;
+    std::uint64_t est_m2m = 0;
+    std::uint64_t msgs = 0;
+  };
 
   const partition::DistributedGraph& dg_;
   P prog_;
@@ -408,13 +457,16 @@ class LazyBlockAsyncEngine {
   CoherencyInspector<P> inspector_;
   IntervalModel interval_;
   std::vector<PartState<P>> states_;
-  std::vector<std::vector<lvid_t>> exch_pending_;
+  // Pooled per-exchange scratch, members so steady-state exchanges
+  // allocate nothing: worklist buckets [replica machine*p + master
+  // machine], per-coordinator master marks (Bitset views over the words),
+  // buffered fresh activations, per-machine tallies, and the wire-codec
+  // stream matrices [coordinator*p + peer].
+  std::vector<std::vector<lvid_t>> exch_buckets_;
+  std::vector<std::vector<std::uint64_t>> exch_mark_words_;
+  std::vector<Bitset> exch_marks_;
   std::vector<std::vector<std::pair<machine_t, lvid_t>>> exch_fresh_;
-  // Pooled per-exchange scratch (estimates, per-machine tallies, and the
-  // wire-codec stream matrices [coordinator*p + peer]) — members so
-  // steady-state exchanges allocate nothing.
-  std::vector<std::uint64_t> exch_est_a2a_, exch_est_m2m_;
-  std::vector<std::uint64_t> exch_msgs_, exch_bytes_;
+  std::vector<ExchangeTally> exch_tally_;
   std::vector<wire::DeltaSizeCoder> exch_up_coders_, exch_down_coders_;
   double first_iter_seconds_ = 0.0;
 };

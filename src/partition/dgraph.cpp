@@ -8,10 +8,6 @@
 
 namespace lazygraph::partition {
 
-std::uint32_t Part::num_replicas(lvid_t v) const {
-  return static_cast<std::uint32_t>(std::popcount(replica_mask[v]));
-}
-
 std::uint64_t DistributedGraph::total_local_edges() const {
   std::uint64_t total = 0;
   for (const Part& p : parts_) total += p.num_local_edges();

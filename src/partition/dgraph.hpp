@@ -3,6 +3,7 @@
 // by the engines' coherency exchanges.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
@@ -38,7 +39,9 @@ struct Part {
   lvid_t num_local() const { return static_cast<lvid_t>(gids.size()); }
   std::uint64_t num_local_edges() const { return targets.size(); }
   bool is_master(lvid_t v, machine_t self) const { return master[v] == self; }
-  std::uint32_t num_replicas(lvid_t v) const;
+  std::uint32_t num_replicas(lvid_t v) const {
+    return static_cast<std::uint32_t>(std::popcount(replica_mask[v]));
+  }
 
   std::span<const lvid_t> out_neighbors(lvid_t v) const {
     return {targets.data() + offsets[v], targets.data() + offsets[v + 1]};

@@ -164,21 +164,21 @@ struct BatchedProgram {
 /// Which lanes still have pending work (a raised msg or delta mask bit on
 /// any replica) — the per-lane liveness probe the serve layer's coherency
 /// inspector runs at each coherency point. A lane that converged contributes
-/// no raised bits, so it reads as dropped out.
+/// no raised bits, so it reads as dropped out. Only flagged slots are read:
+/// the walk skips clear has_msg/has_delta words whole (Bitset::find_next).
 template <engine::VertexProgram P, std::size_t K>
 std::array<std::uint8_t, K> lanes_pending(
     const std::vector<engine::PartState<BatchedProgram<P, K>>>& states) {
   std::array<std::uint8_t, K> live{};
-  for (const auto& s : states) {
-    const lvid_t n = static_cast<lvid_t>(s.has_msg.size());
-    for (lvid_t v = 0; v < n; ++v) {
-      if (s.has_msg[v]) {
-        for (std::size_t i = 0; i < K; ++i) live[i] |= s.msg[v].has[i];
-      }
-      if (s.has_delta[v]) {
-        for (std::size_t i = 0; i < K; ++i) live[i] |= s.delta[v].has[i];
-      }
+  const auto fold = [&live](const engine::Bitset& flags, const auto& slots) {
+    for (std::size_t v = flags.find_next(0); v < flags.size();
+         v = flags.find_next(v + 1)) {
+      for (std::size_t i = 0; i < K; ++i) live[i] |= slots[v].has[i];
     }
+  };
+  for (const auto& s : states) {
+    fold(s.has_msg, s.msg);
+    fold(s.has_delta, s.delta);
   }
   return live;
 }

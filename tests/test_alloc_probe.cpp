@@ -30,6 +30,16 @@ void* counted_aligned_alloc(std::size_t n, std::size_t align) {
   throw std::bad_alloc();
 }
 
+/// Runs a throwing allocation for a std::nothrow operator new.
+template <class Alloc>
+void* or_null(Alloc alloc) noexcept {
+  try {
+    return alloc();
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+
 }  // namespace
 
 void* operator new(std::size_t n) { return counted_alloc(n); }
@@ -39,6 +49,25 @@ void* operator new(std::size_t n, std::align_val_t a) {
 }
 void* operator new[](std::size_t n, std::align_val_t a) {
   return counted_aligned_alloc(n, static_cast<std::size_t>(a));
+}
+// The std::nothrow forms are replaced too, or they would allocate outside
+// the count and the std::free below: libstdc++'s temporary buffers
+// (std::stable_sort) allocate through them and release through plain delete.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return or_null([&] { return counted_alloc(n); });
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return or_null([&] { return counted_alloc(n); });
+}
+void* operator new(std::size_t n, std::align_val_t a,
+                   const std::nothrow_t&) noexcept {
+  return or_null(
+      [&] { return counted_aligned_alloc(n, static_cast<std::size_t>(a)); });
+}
+void* operator new[](std::size_t n, std::align_val_t a,
+                     const std::nothrow_t&) noexcept {
+  return or_null(
+      [&] { return counted_aligned_alloc(n, static_cast<std::size_t>(a)); });
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }

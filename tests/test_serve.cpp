@@ -175,6 +175,54 @@ TEST(BatchedExecutor, ConvergedLanesDropOutOfCoherencyAccounting) {
   }
 }
 
+// --- lanes_pending: flag-word walk vs. the per-slot scan ---
+
+TEST(LanesPending, MatchesPerSlotScanOnRaggedParts) {
+  constexpr std::size_t K = 4;
+  using BP = serve::BatchedProgram<algos::BFS, K>;
+  // Part sizes straddle the 64-bit flag words, including ragged tails.
+  const lvid_t sizes[] = {1, 63, 64, 100, 130};
+  std::vector<engine::PartState<BP>> states(std::size(sizes));
+  const auto scan = [&states] {
+    std::array<std::uint8_t, K> live{};
+    for (const auto& s : states) {
+      for (std::size_t v = 0; v < s.has_msg.size(); ++v) {
+        for (std::size_t i = 0; i < K; ++i) {
+          if (s.has_msg[v]) live[i] |= s.msg[v].has[i];
+          if (s.has_delta[v]) live[i] |= s.delta[v].has[i];
+        }
+      }
+    }
+    return live;
+  };
+  for (std::size_t m = 0; m < states.size(); ++m) states[m].resize(sizes[m]);
+  EXPECT_EQ(serve::lanes_pending(states), scan());  // all clear
+
+  // Unflagged slots may hold stale lane masks; they must not count.
+  states[1].msg[5].has[2] = 1;
+  states[3].delta[40].has[2] = 1;
+  // Lane 3 is live only in the last slot of the 100-slot part's tail word.
+  states[3].has_delta.set(99);
+  states[3].delta[99].has[3] = 1;
+  EXPECT_EQ(serve::lanes_pending(states), scan());
+  EXPECT_EQ(serve::lanes_pending(states),
+            (std::array<std::uint8_t, K>{0, 0, 0, 1}));
+
+  std::uint64_t x = 12345;
+  for (int round = 0; round < 20; ++round) {
+    for (auto& s : states) {
+      for (std::size_t v = 0; v < s.has_msg.size(); ++v) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        if ((x >> 60) == 0) s.has_msg.set(v);
+        if ((x >> 56 & 15) == 0) s.has_delta.set(v);
+        if ((x >> 52 & 15) == 0) s.msg[v].has[(x >> 40) % K] = 1;
+        if ((x >> 48 & 15) == 0) s.delta[v].has[(x >> 36) % K] = 1;
+      }
+    }
+    EXPECT_EQ(serve::lanes_pending(states), scan()) << "round " << round;
+  }
+}
+
 // --- traffic generator ---
 
 TEST(Traffic, DeterministicSortedAndInRange) {

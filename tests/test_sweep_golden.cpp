@@ -7,6 +7,12 @@
 // messages in serial emission order (vertex ascending, then out-edge order),
 // which is the order the serial sweeps deposit in; any change to that fold
 // order changes the floating-point sums and fails these tests.
+//
+// The ExchangeGolden tests at the end pin lazy-block's coherency exchange
+// (Stage 2) under each comm-mode policy to the results of the exchange that
+// sorted per-master worklists and re-walked every replica to size its mode
+// estimate. Any change in visit order, estimate, wire-codec stream or
+// delivery fold shows up in the mode counts, byte/message tallies or digest.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -195,6 +201,98 @@ TEST(SweepGoldenMatrix, LazyBlockUnsplit) {
                            0x1.8120d1129f3efp-5},
                  .cc = {0x14d5bceae7b5b1a5ULL, 4, 10488,
                         0x1.16d3df250ead3p-3}});
+}
+
+// ------------------------------------------------ coherency exchange (Stage 2)
+
+struct ExchangeGolden {
+  std::uint64_t digest;
+  std::uint64_t supersteps;
+  std::uint64_t a2a_exchanges;
+  std::uint64_t m2m_exchanges;
+  std::uint64_t network_bytes;
+  std::uint64_t exchange_bytes_raw;
+  std::uint64_t exchange_bytes_wire;
+  std::uint64_t network_messages;
+  std::uint64_t sweep_scanned;
+  double sim_seconds;
+};
+
+/// Golden values of one lazy-block run under each comm-mode policy.
+struct PolicyGoldens {
+  ExchangeGolden adaptive, all_to_all, mirrors_to_master;
+};
+
+/// Runs `prog` on lazy-block under the three comm-mode policies at cluster
+/// threads 1 and 4 and checks every run against `want`, bit for bit. The
+/// cluster's volume_scale stands each analogue record for 10^4 real ones, so
+/// the fitted cost curves put early (large) exchanges on mirrors-to-master
+/// and late (small) ones on all-to-all: the adaptive run records both.
+template <class P>
+void expect_exchange(const partition::DistributedGraph& dg, const P& prog,
+                     const PolicyGoldens& want) {
+  const std::pair<engine::CommModePolicy, const ExchangeGolden*> cells[] = {
+      {engine::CommModePolicy::kAdaptive, &want.adaptive},
+      {engine::CommModePolicy::kForceAllToAll, &want.all_to_all},
+      {engine::CommModePolicy::kForceMirrorsToMaster,
+       &want.mirrors_to_master}};
+  for (const auto& [policy, w] : cells) {
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(engine::to_string(policy)) +
+                   " cluster threads " + std::to_string(threads));
+      sim::Cluster cluster({.machines = dg.num_machines(),
+                            .net = {.volume_scale = 1e4},
+                            .threads = threads});
+      const auto r = engine::run(
+          {.kind = engine::EngineKind::kLazyBlock, .comm_policy = policy}, dg,
+          prog, cluster);
+      ASSERT_TRUE(r.converged);
+      const sim::SimMetrics& m = r.metrics;
+      EXPECT_EQ(digest(r.data), w->digest);
+      EXPECT_EQ(r.supersteps, w->supersteps);
+      EXPECT_EQ(m.a2a_exchanges, w->a2a_exchanges);
+      EXPECT_EQ(m.m2m_exchanges, w->m2m_exchanges);
+      EXPECT_EQ(m.network_bytes, w->network_bytes);
+      EXPECT_EQ(m.exchange_bytes_raw, w->exchange_bytes_raw);
+      EXPECT_EQ(m.exchange_bytes_wire, w->exchange_bytes_wire);
+      EXPECT_EQ(m.network_messages, w->network_messages);
+      EXPECT_EQ(m.sweep_scanned, w->sweep_scanned);
+      EXPECT_EQ(m.sim_seconds(), w->sim_seconds);
+    }
+  }
+  EXPECT_GT(want.adaptive.a2a_exchanges, 0u);
+  EXPECT_GT(want.adaptive.m2m_exchanges, 0u);
+}
+
+TEST(ExchangeGolden, LazyBlockSplitPageRank) {
+  const Graph g =
+      datasets::make(datasets::spec_by_name("webgoogle-like"), 0.05);
+  const auto dg = testsupport::build_dgraph(
+      g, 4, partition::CutKind::kCoordinated, 7, /*split=*/true);
+  expect_exchange(
+      dg, algos::PageRankDelta{.tol = 1e-3},
+      {.adaptive = {0x5f8b7dbd2df7553eULL, 22, 3, 19, 1160618, 2059520,
+                    1160618, 128720, 1156526, 0x1.7c039522d268cp+4},
+       .all_to_all = {0x5f8b7dbd2df7553eULL, 22, 22, 0, 1386600, 2461520,
+                      1386600, 153845, 1156526, 0x1.c5b1985985d3ep+4},
+       .mirrors_to_master = {0x5f8b7dbd2df7553eULL, 22, 0, 22, 1161081,
+                             2060288, 1161081, 128768, 1156526,
+                             0x1.7c2e2e794e79ap+4}});
+}
+
+TEST(ExchangeGolden, LazyBlockKCore) {
+  const Graph g =
+      datasets::make(datasets::spec_by_name("webgoogle-like"), 0.05)
+          .symmetrized();
+  const auto dg = testsupport::build_dgraph(g, 4);
+  expect_exchange(
+      dg, algos::KCore{.k = 3},
+      {.adaptive = {0x2ef3f95cc2b17b65ULL, 5, 4, 1, 5500, 9280, 5500, 580,
+                    21665, 0x1.8a36e4b1e589ap-3},
+       .all_to_all = {0x2ef3f95cc2b17b65ULL, 5, 5, 0, 4191, 7008, 4191, 438,
+                      21665, 0x1.5395d9c1367ebp-3},
+       .mirrors_to_master = {0x2ef3f95cc2b17b65ULL, 5, 0, 5, 5822, 9792,
+                             5822, 612, 21665, 0x1.9b82d316a12f8p-3}});
 }
 
 }  // namespace

@@ -53,10 +53,8 @@ void expect_same_metrics(const sim::SimMetrics& a, const sim::SimMetrics& b,
 /// metrics.
 template <class P, class Eq>
 sim::SimMetrics expect_thread_invariant(
-    const partition::DistributedGraph& dg, EngineKind kind, const P& prog,
-    Eq eq) {
-  engine::RunConfig cfg;
-  cfg.kind = kind;
+    const partition::DistributedGraph& dg, const engine::RunConfig& cfg,
+    const P& prog, Eq eq) {
   std::vector<engine::RunResult<P>> runs;
   for (const std::size_t threads : {1u, 2u, 4u, 7u}) {
     sim::Cluster cluster({.machines = 8, .threads = threads});
@@ -84,8 +82,8 @@ sim::SimMetrics expect_thread_invariant(
 
 template <class P, class Eq>
 void expect_sync_thread_invariant(const Graph& g, const P& prog, Eq eq) {
-  expect_thread_invariant(testsupport::build_dgraph(g, 8), EngineKind::kSync,
-                          prog, eq);
+  expect_thread_invariant(testsupport::build_dgraph(g, 8),
+                          {.kind = EngineKind::kSync}, prog, eq);
 }
 
 Graph directed_graph() {
@@ -138,7 +136,7 @@ TEST(LazyBlockThreads, SplitPageRankBitIdenticalAcrossClusterThreads) {
       /*split=*/true);
   ASSERT_GT(dg.parallel_edge_copies(), 0u);
   expect_thread_invariant(
-      dg, EngineKind::kLazyBlock, algos::PageRankDelta{.tol = 1e-4},
+      dg, {.kind = EngineKind::kLazyBlock}, algos::PageRankDelta{.tol = 1e-4},
       [](const algos::PageRankDelta::VData& a,
          const algos::PageRankDelta::VData& b) {
         return a.rank == b.rank && a.pending_delta == b.pending_delta;
@@ -148,12 +146,30 @@ TEST(LazyBlockThreads, SplitPageRankBitIdenticalAcrossClusterThreads) {
 TEST(LazyBlockThreads, RoadSsspBitIdenticalAcrossClusterThreads) {
   const Graph g = gen::road_lattice(40, 40, 0.3, 5, {1.0f, 64.0f});
   const sim::SimMetrics m = expect_thread_invariant(
-      testsupport::build_dgraph(g, 8), EngineKind::kLazyBlock,
+      testsupport::build_dgraph(g, 8), {.kind = EngineKind::kLazyBlock},
       algos::SSSP{.source = 0},
       [](const algos::SSSP::VData& a, const algos::SSSP::VData& b) {
         return a.dist == b.dist;
       });
   EXPECT_GT(m.local_subiterations, 0u);
+}
+
+// Forced mirrors-to-master k-core: every exchange derives its worklists on
+// the replica machines in parallel, merges them into per-master marks on
+// the coordinators, and delivers through Inverse (non-idempotent Sum) while
+// the coordinators fill their up/down wire-codec streams.
+TEST(LazyBlockThreads, ForcedM2mKcoreBitIdenticalAcrossClusterThreads) {
+  const sim::SimMetrics m = expect_thread_invariant(
+      testsupport::build_dgraph(directed_graph().symmetrized(), 8),
+      {.kind = EngineKind::kLazyBlock,
+       .comm_policy = engine::CommModePolicy::kForceMirrorsToMaster},
+      algos::KCore{.k = 6},
+      [](const algos::KCore::VData& a, const algos::KCore::VData& b) {
+        return a.core == b.core && a.deleted == b.deleted;
+      });
+  EXPECT_GT(m.m2m_exchanges, 0u);
+  EXPECT_EQ(m.a2a_exchanges, 0u);
+  EXPECT_GT(m.exchange_bytes_wire, 0u);
 }
 
 // The plan layer's cluster takes the executor's thread budget: a lowering
