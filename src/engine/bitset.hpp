@@ -12,8 +12,7 @@
 //     applied marks).
 //   - `flags[i] = b` goes through a proxy that RMWs the word with relaxed
 //     std::atomic_ref fetch_or/fetch_and. It is for phases where another
-//     machine's body touches the same words at the same time (lazy-block
-//     masters delivering into their replicas on other machines, the sync
+//     machine's body touches the same words at the same time (the sync
 //     gather's own-slot folds that other masters read). Distinct bits of
 //     one word commute under fetch_or/fetch_and, so the result is
 //     bit-identical to the serial order regardless of interleaving.

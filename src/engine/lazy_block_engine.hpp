@@ -16,10 +16,12 @@
 //     m2m pattern). One global barrier. Then the coherency-point
 //     apply+scatter sweep runs, after which all replicas of a vertex that
 //     consumed the same message multiset hold the same global view.
-//     The exchange runs as three machine-parallel phases: every replica
-//     machine buckets its flagged replicas by master, every master machine
-//     merges its buckets into a mark bitset, and every master machine walks
-//     its marks ascending to fold, encode and deliver (exchange_deltas).
+//     The exchange is owner-computes, in three machine-parallel phases:
+//     every replica machine packs its flagged deltas by value towards their
+//     masters' machines, every master machine folds what it received and
+//     fills one outbox per replica machine, and every replica machine
+//     unpacks its outboxes into its own message slots (exchange_deltas).
+//     No phase writes another machine's state.
 //
 // The adaptive interval model (Section 4.2.1) decides when lazy mode turns
 // on; per Algorithm 1 line 16 it is sticky once enabled.
@@ -30,6 +32,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <utility>
@@ -126,11 +129,9 @@ class LazyBlockAsyncEngine {
       }
 
       // ---- Stage 2: data coherency. ----
-      const CommDecision comm = exchange_deltas();
+      const auto [comm, active] = exchange_deltas();
       cluster_.charge_barrier();  // the single global sync of the iteration
 
-      std::uint64_t active = 0;
-      for (machine_t m = 0; m < p; ++m) active += states_[m].count_msgs();
       if (active == 0) {
         record_superstep_snapshot(result.supersteps, active, do_local, comm);
         // The exchange delivered nothing and no messages are pending: the
@@ -195,259 +196,274 @@ class LazyBlockAsyncEngine {
     t->record_superstep(snap);
   }
 
-  /// Sizes the pooled exchange scratch to its structural worst case — every
+  /// One replica's delta, shipped by value to its master's machine.
+  struct DeltaRecord {
+    lvid_t master_lvid;
+    typename P::Msg delta;
+  };
+
+  /// One coordinator-to-replica delivery: the folded total of the vertex's
+  /// deltas and whether the receiving replica contributed to it (then it
+  /// takes its own delta back out with without_own).
+  struct Delivery {
+    lvid_t lvid;
+    bool own;
+    typename P::Msg total;
+  };
+
+  /// One machine's exchange buffers. A phase body writes only the
+  /// MachineExchange of the machine it runs for; outboxes are indexed by
+  /// the peer machine and read by that peer after the join. Cache-line
+  /// aligned so the tallies of neighbouring machines never share a line.
+  struct alignas(64) MachineExchange {
+    // As replica machine: flagged deltas bound for each master machine.
+    std::vector<std::vector<DeltaRecord>> bucket;
+    // As coordinator, indexed by master lvid: the folded delta and the
+    // contributor mask (bit r: machine r's replica held a delta). A zero
+    // mask means "not yet folded this exchange"; the walk re-zeroes it.
+    std::vector<typename P::Msg> acc;
+    std::vector<std::uint64_t> contributors;
+    // As coordinator: the masters folded this exchange, one bit per lvid,
+    // walked ascending and cleared word by word.
+    std::vector<std::uint64_t> marks;
+    // As coordinator: deliveries for each replica machine.
+    std::vector<std::vector<Delivery>> outbox;
+    // As coordinator: wire-codec streams towards each peer, for both
+    // patterns (the decision comes after the walk). a2a relays every
+    // contributor's record; m2m ships records up from the contributing
+    // mirrors and down to every mirror.
+    std::vector<wire::DeltaSizeCoder> a2a, up, down;
+    // Pack: frontier slots scanned and this machine's replica shares of
+    // the volume estimates. Coordinate: the per-master m2m shares and each
+    // pattern's message count. Unpack: pending messages after delivery.
+    std::uint64_t scanned = 0, est_a2a = 0, est_m2m = 0, msgs_a2a = 0,
+                  msgs_m2m = 0, active = 0;
+#ifndef NDEBUG
+    // The estimate equations evaluated per master from its contributor
+    // mask, to cross-check the folded shares.
+    std::uint64_t check_a2a = 0, check_m2m = 0;
+#endif
+  };
+
+  /// Sizes every exchange buffer to its structural worst case — every
   /// spanning replica flagged in one exchange — so steady-state coherency
-  /// points never grow it (the alloc probe asserts supersteps allocate
-  /// nothing after warmup).
+  /// points never grow one (the alloc probe asserts supersteps allocate
+  /// nothing after warmup). The spanning replicas on r whose master is on m
+  /// bound both the bucket (r -> m) and the outbox (m -> r).
   void reserve_exchange_scratch() {
     const machine_t p = dg_.num_machines();
-    exch_buckets_.assign(std::size_t{p} * p, {});
-    exch_fresh_.assign(p, {});
-    exch_mark_words_.assign(p, {});
-    exch_marks_.assign(p, {});
-    exch_tally_.assign(p, {});
-    exch_up_coders_.assign(std::size_t{p} * p, {});
-    exch_down_coders_.assign(std::size_t{p} * p, {});
-    // cap[r*p + m]: spanning replicas on machine r whose master is on m.
-    std::vector<std::size_t> cap(std::size_t{p} * p, 0);
+    exch_.assign(p, {});
+    for (machine_t m = 0; m < p; ++m) {
+      MachineExchange& x = exch_[m];
+      const lvid_t n = dg_.part(m).num_local();
+      x.bucket.assign(p, {});
+      x.acc.assign(n, {});
+      x.contributors.assign(n, 0);
+      x.marks.assign(Bitset::words_for(n), 0);
+      x.outbox.assign(p, {});
+      x.a2a.assign(p, {});
+      x.up.assign(p, {});
+      x.down.assign(p, {});
+    }
+    std::vector<std::size_t> per_master(p);
     for (machine_t r = 0; r < p; ++r) {
       const partition::Part& part = dg_.part(r);
+      std::fill(per_master.begin(), per_master.end(), 0);
       for (lvid_t u = 0; u < part.num_local(); ++u) {
-        if (part.num_replicas(u) > 1) {
-          ++cap[std::size_t{r} * p + part.master[u]];
-        }
+        if (part.num_replicas(u) > 1) ++per_master[part.master[u]];
       }
-      exch_mark_words_[r].assign(Bitset::words_for(part.num_local()), 0);
-      exch_marks_[r].attach(exch_mark_words_[r].data(), part.num_local());
-    }
-    for (machine_t m = 0; m < p; ++m) {
-      std::size_t replicas = 0;  // of m's spanning masters
-      for (machine_t r = 0; r < p; ++r) {
-        const std::size_t i = std::size_t{r} * p + m;
-        exch_buckets_[i].reserve(cap[i]);
-        replicas += cap[i];
+      for (machine_t m = 0; m < p; ++m) {
+        exch_[r].bucket[m].reserve(per_master[m]);
+        exch_[m].outbox[r].reserve(per_master[m]);
       }
-      exch_fresh_[m].reserve(replicas);
     }
   }
 
+  struct ExchangeOutcome {
+    CommDecision comm;
+    std::uint64_t active = 0;  // pending messages after delivery
+  };
+
   // Exchange_deltaMsgs: estimate both patterns' volumes with the paper's
   // equations, pick a mode, deliver others' deltas into every replica's
-  // message slot, clear deltas. Three machine-parallel phases, each owned
-  // per machine so the run stays bit-identical across cluster thread counts:
+  // message slot, clear deltas. Owner-computes in three machine-parallel
+  // phases, so the run stays bit-identical across cluster thread counts:
   //
-  //   Derive (replica machine r): walk r's delta frontier and append the
-  //     master lvid of every flagged spanning replica to bucket [r][master].
-  //     Each flagged replica adds its share of the volume estimates:
-  //     (rnum-1)·B to a2a and 1·B to m2m.
-  //   Merge (master machine m, the coordinator): read the buckets [*][m]
-  //     into m's mark bitset. Each 0->1 mark adds the m2m per-master term
-  //     (rnum-2)·B. Summed, the shares give the paper's estimates
-  //     a2a = Σ_v nd_v·(rnum_v-1)·B and m2m = Σ_v (nd_v+rnum_v-2)·B, with
-  //     nd_v the number of v's replicas holding a delta.
-  //   Deliver (coordinator m): walk m's mark words ascending, clearing them.
-  //     Per master v, one replica walk in machine order folds the flagged
-  //     deltas and notes the wire-codec records; a second deposits "others'
-  //     deltas" into every replica and clears its delta flag.
+  //   Pack (replica machine r): walk r's delta frontier. Every flagged
+  //     spanning replica ships (master lvid, delta) to bucket [r][master],
+  //     drops its delta flag (the value stays: the unpack reads it) and
+  //     adds its shares of the volume estimates: (rnum-1)·B to a2a, 1·B to
+  //     m2m.
+  //   Coordinate (master machine m): fold the buckets [*][m] in ascending
+  //     r — machine order, the master's own delta at position m — into
+  //     acc[v] and contributors[v]. Each first contribution marks v and
+  //     adds the m2m per-master term (rnum-2)·B. Summed, the shares give
+  //     the paper's estimates a2a = Σ_v nd_v·(rnum_v-1)·B and
+  //     m2m = Σ_v (nd_v+rnum_v-2)·B, nd_v the number of v's replicas
+  //     holding a delta. Then walk the marks ascending: note each master's
+  //     records on both patterns' codec streams and message tallies, and
+  //     queue {replica lvid, own, total} in outbox [m][r] for every replica
+  //     except a sole contributor (whose "others' deltas" are empty).
+  //   Decide (serial): pick the mode and charge its tallies.
+  //   Unpack (replica machine r): for m ascending, deposit each delivery —
+  //     without_own(total, own delta) for a contributor, total otherwise —
+  //     and count r's pending messages.
   //
   // The estimates are deliberately on the UNCOMPRESSED per-record size: the
   // paper's fitted cost curves were calibrated against raw volumes, and
   // keeping the mode decision on raw bytes bounds how much the codec
   // perturbs the trajectory. Every flagged replica is on its delta frontier
   // exactly once (deposit_delta activates on the 0->1 flip and only this
-  // exchange clears the flag, dropping the frontier with it), so each is
-  // counted once; the debug build re-walks the replicas to check. The
-  // delivery's replica slots are race-free (v belongs to one coordinator),
-  // but flag words are shared with other masters' replicas, so it reads
-  // them with load() and writes through the atomic proxy; fresh activations
-  // are buffered per coordinator and applied to the (not thread-safe)
-  // frontiers after the join. Returns the comm-mode decision it made.
-  CommDecision exchange_deltas() {
+  // exchange clears the flag), so each is counted once; the debug build
+  // checks the shares against the equations evaluated per master. Every
+  // per-replica write is a plain owner-only write, and each replica slot
+  // receives its deposits in the order the earlier serial exchange made
+  // them, so frontier order, data and counters are unchanged.
+  ExchangeOutcome exchange_deltas() {
     const machine_t p = dg_.num_machines();
     constexpr std::uint64_t kDeltaBytes = wire_bytes<typename P::Msg>();
     constexpr std::size_t kRecord = sizeof(typename P::Msg);
-    const auto bucket = [&](machine_t r, machine_t m) -> std::vector<lvid_t>& {
-      return exch_buckets_[std::size_t{r} * p + m];
-    };
 
     cluster_.parallel_machines([&](machine_t r) {
       const partition::Part& rp = dg_.part(r);
       PartState<P>& rs = states_[r];
-      for (machine_t m = 0; m < p; ++m) bucket(r, m).clear();
+      MachineExchange& x = exch_[r];
+      for (auto& b : x.bucket) b.clear();
       std::uint64_t a2a_records = 0, flagged = 0;
-      const std::size_t scanned =
+      x.scanned =
           rs.delta_frontier.for_each_flagged(rs.has_delta, [&](lvid_t u) {
             const std::uint32_t rnum = rp.num_replicas(u);
             if (rnum <= 1) return;
-            bucket(r, rp.master[u]).push_back(rp.master_lvid[u]);
+            x.bucket[rp.master[u]].push_back({rp.master_lvid[u], rs.delta[u]});
+            rs.has_delta.reset(u);
             a2a_records += rnum - 1;
             ++flagged;
           });
       rs.delta_frontier.clear();
-      exch_tally_[r] = {.scanned = scanned,
-                        .est_a2a = a2a_records * kDeltaBytes,
-                        .est_m2m = flagged * kDeltaBytes};
+      x.est_a2a = a2a_records * kDeltaBytes;
+      x.est_m2m = flagged * kDeltaBytes;
     });
 
     cluster_.parallel_machines([&](machine_t m) {
       const partition::Part& part = dg_.part(m);
-      Bitset& marks = exch_marks_[m];
+      MachineExchange& x = exch_[m];
       std::uint64_t m2m_records = 0;
       for (machine_t r = 0; r < p; ++r) {
-        for (const lvid_t v : bucket(r, m)) {
-          if (marks[v]) continue;
-          marks.set(v);
-          m2m_records += part.num_replicas(v) - 2;
+        for (const auto& [v, d] : exch_[r].bucket[m]) {
+          std::uint64_t& c = x.contributors[v];
+          if (c == 0) {
+            x.marks[v / Bitset::kWordBits] |= std::uint64_t{1}
+                                              << (v % Bitset::kWordBits);
+            m2m_records += part.num_replicas(v) - 2;
+            x.acc[v] = d;
+          } else {
+            x.acc[v] = prog_.sum(x.acc[v], d);
+          }
+          c |= std::uint64_t{1} << r;
         }
       }
-      exch_tally_[m].est_m2m += m2m_records * kDeltaBytes;
+      x.est_m2m += m2m_records * kDeltaBytes;
+
+      for (machine_t r = 0; r < p; ++r) {
+        x.outbox[r].clear();
+        x.a2a[r].reset();
+        x.up[r].reset();
+        x.down[r].reset();
+      }
+      std::uint64_t msgs_a2a = 0, msgs_m2m = 0;
+#ifndef NDEBUG
+      x.check_a2a = x.check_m2m = 0;
+#endif
+      for (std::size_t w = 0; w < x.marks.size(); ++w) {
+        for (std::uint64_t bits = std::exchange(x.marks[w], 0); bits != 0;
+             bits &= bits - 1) {
+          const lvid_t v = static_cast<lvid_t>(w * Bitset::kWordBits +
+                                               std::countr_zero(bits));
+          const std::uint64_t c = std::exchange(x.contributors[v], 0);
+          const std::uint32_t nd = std::popcount(c);
+          const std::uint32_t rnum = part.num_replicas(v);
+          const vid_t gid_v = part.gids[v];
+          const bool master_contributed = (c >> m) & 1;
+
+          // Codec records: the streams' gids ascend because v does. a2a
+          // relays each contributor's record to all rnum-1 other replicas;
+          // m2m ships one record up per contributing mirror and one down
+          // per mirror. Frame headers are charged once per non-empty stream.
+          for (std::uint64_t cb = c; cb != 0; cb &= cb - 1) {
+            const machine_t rm = static_cast<machine_t>(std::countr_zero(cb));
+            x.a2a[rm].add(gid_v, kRecord, rnum - 1);
+            if (rm != m) x.up[rm].add(gid_v, kRecord);
+          }
+          msgs_a2a += std::uint64_t{nd} * (rnum - 1);
+          msgs_m2m += nd - master_contributed + (rnum - 1);
+#ifndef NDEBUG
+          x.check_a2a += std::uint64_t{nd} * (rnum - 1) * kDeltaBytes;
+          x.check_m2m += (std::uint64_t{nd} + rnum - 2) * kDeltaBytes;
+#endif
+
+          // Deliver "others' deltas": a sole contributor has none.
+          const auto deliver = [&](machine_t r, lvid_t rv) {
+            const bool own = (c >> r) & 1;
+            if (own && nd == 1) return;
+            x.outbox[r].push_back({rv, own, x.acc[v]});
+          };
+          deliver(m, v);
+          for (const auto& [r, rl] : part.remote_replicas[v]) {
+            x.down[r].add(gid_v, kRecord);
+            deliver(r, rl);
+          }
+        }
+      }
+      x.msgs_a2a = msgs_a2a;
+      x.msgs_m2m = msgs_m2m;
     });
 
     ExchangeEstimate est;
-    for (const ExchangeTally& t : exch_tally_) {
-      cluster_.metrics().sweep_scanned += t.scanned;
-      est.a2a_bytes += t.est_a2a;
-      est.m2m_bytes += t.est_m2m;
+    for (const MachineExchange& x : exch_) {
+      cluster_.metrics().sweep_scanned += x.scanned;
+      est.a2a_bytes += x.est_a2a;
+      est.m2m_bytes += x.est_m2m;
     }
 #ifndef NDEBUG
-    const ExchangeEstimate recount = recount_estimate();
-    assert(recount.a2a_bytes == est.a2a_bytes &&
-           recount.m2m_bytes == est.m2m_bytes &&
-           "exchange_deltas: folded estimate disagrees with replica recount");
+    ExchangeEstimate check;
+    for (const MachineExchange& x : exch_) {
+      check.a2a_bytes += x.check_a2a;
+      check.m2m_bytes += x.check_m2m;
+    }
+    assert(check.a2a_bytes == est.a2a_bytes &&
+           check.m2m_bytes == est.m2m_bytes &&
+           "exchange_deltas: folded estimate disagrees with the equations");
 #endif
     const CommDecision decision =
         decide_comm_mode(cfg_.comm_policy, cluster_.net(), est);
     const bool a2a = decision.mode == sim::CommMode::kAllToAll;
-
-    cluster_.parallel_machines([&](machine_t m) {
-      const partition::Part& part = dg_.part(m);
-      Bitset& marks = exch_marks_[m];
-      wire::DeltaSizeCoder* up = &exch_up_coders_[std::size_t{m} * p];
-      wire::DeltaSizeCoder* down = &exch_down_coders_[std::size_t{m} * p];
+    std::uint64_t total_msgs = 0, total_wire = 0;
+    for (const MachineExchange& x : exch_) {
+      total_msgs += a2a ? x.msgs_a2a : x.msgs_m2m;
       for (machine_t r = 0; r < p; ++r) {
-        up[r].reset();
-        down[r].reset();
-      }
-      auto& fresh = exch_fresh_[m];
-      fresh.clear();
-      std::uint64_t msgs = 0;
-      for (std::size_t i = marks.find_next(0); i < marks.size();
-           i = marks.find_next(i + 1)) {
-        marks.reset(i);
-        const lvid_t v = static_cast<lvid_t>(i);
-        const std::uint32_t rnum = part.num_replicas(v);
-        const vid_t gid_v = part.gids[v];
-        const auto& remotes = part.remote_replicas[v];
-
-        // Fold the contributions in machine order (remotes are sorted by
-        // machine; the master's own replica merges in like any other) and
-        // note their records on the per-machine-pair codec streams, whose
-        // gids ascend because v does. a2a: each contributor's record is
-        // relayed to all rnum-1 other replicas; m2m: every non-master
-        // contributor ships one record up, the master one per mirror down.
-        // Frame headers are charged once per non-empty stream.
-        bool have = false;
-        typename P::Msg total{};
-        std::uint32_t nd = 0;
-        std::uint64_t contributors = 0;  // bit rm: machine rm's replica
-        auto fold = [&](machine_t rm, lvid_t rv) {
-          PartState<P>& rs = states_[rm];
-          if (!rs.has_delta.load(rv)) return;
-          total = have ? prog_.sum(total, rs.delta[rv]) : rs.delta[rv];
-          have = true;
-          ++nd;
-          contributors |= std::uint64_t{1} << rm;
-          if (a2a) {
-            up[rm].add(gid_v, kRecord, rnum - 1);
-          } else if (rm != m) {
-            up[rm].add(gid_v, kRecord);
-          }
-        };
-        bool self_done = false;
-        for (const auto& [r, rl] : remotes) {
-          if (!self_done && m < r) {
-            fold(m, v);
-            self_done = true;
-          }
-          fold(r, rl);
-          if (!a2a) down[r].add(gid_v, kRecord);
-        }
-        if (!self_done) fold(m, v);
-        assert(nd > 0 && "exchange_deltas: marked master without a delta");
-
-        // Deliver "others' deltas" to every replica and clear its delta.
-        // Raw deposits: the target frontiers belong to other machines.
-        auto deliver = [&](machine_t rm, lvid_t rv) {
-          PartState<P>& rs = states_[rm];
-          if ((contributors >> rm) & 1) {
-            if (nd > 1 &&
-                deposit_msg_raw(prog_, rs, rv,
-                                without_own(prog_, total, rs.delta[rv]))) {
-              fresh.emplace_back(rm, rv);
-            }
-            rs.has_delta[rv] = 0;
-          } else if (deposit_msg_raw(prog_, rs, rv, total)) {
-            fresh.emplace_back(rm, rv);
-          }
-        };
-        deliver(m, v);
-        for (const auto& [r, rl] : remotes) deliver(r, rl);
-
-        msgs += a2a ? std::uint64_t{nd} * (rnum - 1)
-                    : nd - ((contributors >> m) & 1) + (rnum - 1);
-      }
-      exch_tally_[m].msgs = msgs;
-    });
-
-    std::uint64_t total_msgs = 0;
-    for (machine_t m = 0; m < p; ++m) {
-      total_msgs += exch_tally_[m].msgs;
-      for (const auto& [rm, rv] : exch_fresh_[m]) {
-        states_[rm].frontier.activate(rv);
+        total_wire += a2a ? x.a2a[r].total_bytes()
+                          : x.up[r].total_bytes() + x.down[r].total_bytes();
       }
     }
-    std::uint64_t total_wire = 0;
-    for (const auto& c : exch_up_coders_) total_wire += c.total_bytes();
-    for (const auto& c : exch_down_coders_) total_wire += c.total_bytes();
     cluster_.charge_exchange(sim::SpanKind::kCoherencyExchange, decision.mode,
                              total_msgs * kDeltaBytes, total_wire, total_msgs,
                              &decision.prediction);
-    return decision;
-  }
 
-#ifndef NDEBUG
-  /// The paper's estimate equations evaluated directly: every marked master
-  /// re-walks its replicas' has_delta flags (what the folded shares replace).
-  ExchangeEstimate recount_estimate() const {
-    constexpr std::uint64_t kDeltaBytes = wire_bytes<typename P::Msg>();
-    ExchangeEstimate est;
-    for (machine_t m = 0; m < dg_.num_machines(); ++m) {
-      const partition::Part& part = dg_.part(m);
-      const Bitset& marks = exch_marks_[m];
-      for (std::size_t v = marks.find_next(0); v < marks.size();
-           v = marks.find_next(v + 1)) {
-        const std::uint64_t rnum = part.num_replicas(static_cast<lvid_t>(v));
-        std::uint64_t nd = states_[m].has_delta[v] ? 1 : 0;
-        for (const auto& [r, rl] : part.remote_replicas[v]) {
-          nd += states_[r].has_delta[rl] ? 1 : 0;
+    cluster_.parallel_machines([&](machine_t r) {
+      PartState<P>& rs = states_[r];
+      for (machine_t m = 0; m < p; ++m) {
+        for (const Delivery& d : exch_[m].outbox[r]) {
+          deposit_msg(prog_, rs, d.lvid,
+                      d.own ? without_own(prog_, d.total, rs.delta[d.lvid])
+                            : d.total);
         }
-        est.a2a_bytes += nd * (rnum - 1) * kDeltaBytes;
-        est.m2m_bytes += (nd + rnum - 2) * kDeltaBytes;
       }
-    }
-    return est;
+      exch_[r].active = rs.count_msgs();
+    });
+    std::uint64_t active = 0;
+    for (const MachineExchange& x : exch_) active += x.active;
+    return {decision, active};
   }
-#endif
-
-  /// One machine's per-exchange tallies, each written by its one owner per
-  /// phase: the frontier slots it scanned and its shares of the volume
-  /// estimates, then (as coordinator) the messages its pattern sends.
-  struct ExchangeTally {
-    std::uint64_t scanned = 0;
-    std::uint64_t est_a2a = 0;
-    std::uint64_t est_m2m = 0;
-    std::uint64_t msgs = 0;
-  };
 
   const partition::DistributedGraph& dg_;
   P prog_;
@@ -457,17 +473,9 @@ class LazyBlockAsyncEngine {
   CoherencyInspector<P> inspector_;
   IntervalModel interval_;
   std::vector<PartState<P>> states_;
-  // Pooled per-exchange scratch, members so steady-state exchanges
-  // allocate nothing: worklist buckets [replica machine*p + master
-  // machine], per-coordinator master marks (Bitset views over the words),
-  // buffered fresh activations, per-machine tallies, and the wire-codec
-  // stream matrices [coordinator*p + peer].
-  std::vector<std::vector<lvid_t>> exch_buckets_;
-  std::vector<std::vector<std::uint64_t>> exch_mark_words_;
-  std::vector<Bitset> exch_marks_;
-  std::vector<std::vector<std::pair<machine_t, lvid_t>>> exch_fresh_;
-  std::vector<ExchangeTally> exch_tally_;
-  std::vector<wire::DeltaSizeCoder> exch_up_coders_, exch_down_coders_;
+  // Per-machine exchange buffers, members so steady-state exchanges
+  // allocate nothing.
+  std::vector<MachineExchange> exch_;
   double first_iter_seconds_ = 0.0;
 };
 

@@ -12,9 +12,9 @@
 //
 // Deposits come in two flavours that follow the Bitset write contract:
 // deposit_msg/deposit_delta record frontier activations and are owner-only,
-// so they write flags plainly; deposit_msg_raw is for phases where other
-// machines' bodies touch the same flag words, so it uses load() and the
-// atomic proxy.
+// so they write flags plainly; deposit_msg_raw is for the sync gather, where
+// other machines' bodies read the same flag words, so it uses load() and
+// the atomic proxy.
 #pragma once
 
 #include <cassert>
@@ -303,10 +303,9 @@ VertexInfo vertex_info(const partition::Part& part, lvid_t v) {
 /// Sum-combines `m` into the message slot of `v` WITHOUT touching the
 /// frontier; returns whether this was a fresh (0->1) activation. Used in
 /// phases where other machines' bodies touch v's flag word at the same time
-/// (lazy-block's cross-machine delivery, the sync gather's own-slot folds
-/// that other masters read), hence load() and the atomic proxy. Callers
-/// record fresh activations out-of-band (frontier lists are not
-/// thread-safe) or consume the flag before the next frontier derivation.
+/// (the sync gather's own-slot folds that other masters read), hence load()
+/// and the atomic proxy. Callers consume the flag before the next frontier
+/// derivation (frontier lists are not thread-safe).
 template <VertexProgram P>
 bool deposit_msg_raw(const P& prog, PartState<P>& s, lvid_t v,
                      const typename P::Msg& m) {

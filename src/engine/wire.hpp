@@ -1,9 +1,10 @@
 // Compressed wire format for replica-coherency traffic.
 //
 // A delta exchange ships batches of (gid, payload) records between machine
-// pairs. Within one stream the gids are strictly ascending (worklists are
-// sorted by master lvid, and lvids are dense in ascending gid order — see
-// partition/dgraph.cpp), so the batch encodes as
+// pairs. Within one stream the gids are strictly ascending (every
+// coordinator visits its masters in ascending lvid order, and lvids are
+// dense in ascending gid order — see partition/dgraph.cpp), so the batch
+// encodes as
 //
 //   frame:   varint(count) [+ presence bitmap, ceil(count/8) bytes, when the
 //            stream carries optional per-record ride-along payloads]

@@ -11,10 +11,13 @@
 // The ExchangeGolden tests at the end pin lazy-block's coherency exchange
 // (Stage 2) under each comm-mode policy to the results of the exchange that
 // sorted per-master worklists and re-walked every replica to size its mode
-// estimate. Any change in visit order, estimate, wire-codec stream or
-// delivery fold shows up in the mode counts, byte/message tallies or digest.
+// estimate; the two batched-lane cells are pinned to the exchange whose
+// coordinators delivered into other machines' message slots. Any change in
+// visit order, estimate, wire-codec stream or delivery fold shows up in the
+// mode counts, byte/message tallies or digest.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -61,6 +64,15 @@ void fold(Fnv& f, const algos::KCore::VData& v) {
 }
 void fold(Fnv& f, const algos::ConnectedComponents::VData& v) {
   f.fold(v.label);
+}
+void fold(Fnv& f, const algos::LinearDiffusion::VData& v) {
+  f.fold(v.value);
+  f.fold(v.pending_delta);
+}
+/// A batched program's vertex: its lanes in lane order.
+template <class VData, std::size_t K>
+void fold(Fnv& f, const std::array<VData, K>& lanes) {
+  for (const VData& v : lanes) fold(f, v);
 }
 
 /// Digest of every vertex's state, in vertex order.
@@ -293,6 +305,48 @@ TEST(ExchangeGolden, LazyBlockKCore) {
                       21665, 0x1.5395d9c1367ebp-3},
        .mirrors_to_master = {0x2ef3f95cc2b17b65ULL, 5, 0, 5, 5822, 9792,
                              5822, 612, 21665, 0x1.9b82d316a12f8p-3}});
+}
+
+// Lane-width exchanges: four lanes of a kHasInverse family batched into one
+// run (serve::BatchedProgram), so every exchanged delta is a wide LaneMsg
+// whose m2m delivery goes through the lane-wise Inverse.
+TEST(ExchangeGolden, BatchedDiffusionLanes) {
+  const Graph g =
+      datasets::make(datasets::spec_by_name("webgoogle-like"), 0.05);
+  const auto dg = testsupport::build_dgraph(
+      g, 4, partition::CutKind::kCoordinated, 7, /*split=*/true);
+  serve::BatchedProgram<algos::LinearDiffusion, 4> prog;
+  const vid_t seeds[] = {0, 101, 2002, 30003};
+  for (std::size_t i = 0; i < 4; ++i) {
+    prog.lanes[i] = {.alpha = 0.6, .seed = seeds[i], .tol = 1e-5};
+  }
+  expect_exchange(
+      dg, prog,
+      {.adaptive = {0xff70dafad4c5c3daULL, 19, 4, 15, 2353462, 2752944,
+                    2353462, 57353, 592454, 0x1.7ff3d1f1ac47cp+5},
+       .all_to_all = {0xff70dafad4c5c3daULL, 19, 19, 0, 2659343, 3111168,
+                      2659343, 64816, 592454, 0x1.b1d1495882b51p+5},
+       .mirrors_to_master = {0xff70dafad4c5c3daULL, 19, 0, 19, 2356406,
+                             2756352, 2356406, 57424, 592454,
+                             0x1.80658e46a5626p+5}});
+}
+
+TEST(ExchangeGolden, BatchedKcoreLanes) {
+  const Graph g =
+      datasets::make(datasets::spec_by_name("webgoogle-like"), 0.05)
+          .symmetrized();
+  const auto dg = testsupport::build_dgraph(g, 4);
+  serve::BatchedProgram<algos::KCore, 4> prog;
+  for (std::uint32_t i = 0; i < 4; ++i) prog.lanes[i] = {.k = 2 + 2 * i};
+  expect_exchange(
+      dg, prog,
+      {.adaptive = {0x94cc50938e51471dULL, 12, 3, 9, 952390, 1113648, 952390,
+                    23201, 224080, 0x1.376afe224e46p+4},
+       .all_to_all = {0x94cc50938e51471dULL, 12, 12, 0, 978665, 1144464,
+                      978665, 23843, 224080, 0x1.3ffc15c20841bp+4},
+       .mirrors_to_master = {0x94cc50938e51471dULL, 12, 0, 12, 952476,
+                             1113744, 952476, 23203, 224080,
+                             0x1.3779969df321bp+4}});
 }
 
 }  // namespace

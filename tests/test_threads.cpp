@@ -1,5 +1,5 @@
 // Thread-count invariance of the parallel machine phases: the owner-computes
-// SyncEngine superstep, lazy-block's local sweeps and delta delivery, and
+// SyncEngine superstep, lazy-block's local sweeps and delta exchange, and
 // the plan layer's lowering cluster must produce the same data, supersteps
 // and counters at any cluster thread count, and a
 // Cluster must never run more machine bodies at once than its thread cap.
@@ -125,11 +125,12 @@ TEST(SyncThreads, KcoreBitIdenticalAcrossClusterThreads) {
       });
 }
 
-// Lazy-block runs its Stage-1 Gauss-Seidel sweeps and the coherency-point
-// sweeps with plain flag writes (owner-only phases), and its delta delivery
-// with relaxed atomic flag ops (masters write their replicas' words on other
-// machines). PageRank on an edge-split graph drives the delivery hard;
-// SSSP on a road lattice spends its time in Stage 1's sparse sweeps.
+// Lazy-block runs every phase owner-only with plain flag writes: the
+// Stage-1 Gauss-Seidel sweeps, the coherency-point sweeps, and the delta
+// exchange's pack, coordinate and unpack, whose only cross-machine reads
+// are bucket and outbox reads after a join. PageRank on an edge-split graph
+// drives the exchange hard; SSSP on a road lattice spends its time in
+// Stage 1's sparse sweeps.
 TEST(LazyBlockThreads, SplitPageRankBitIdenticalAcrossClusterThreads) {
   const auto dg = testsupport::build_dgraph(
       directed_graph(), 8, partition::CutKind::kCoordinated, 7,
@@ -154,10 +155,10 @@ TEST(LazyBlockThreads, RoadSsspBitIdenticalAcrossClusterThreads) {
   EXPECT_GT(m.local_subiterations, 0u);
 }
 
-// Forced mirrors-to-master k-core: every exchange derives its worklists on
-// the replica machines in parallel, merges them into per-master marks on
-// the coordinators, and delivers through Inverse (non-idempotent Sum) while
-// the coordinators fill their up/down wire-codec streams.
+// Forced mirrors-to-master k-core: every exchange packs deltas on the
+// replica machines, folds them into per-master totals on the coordinators
+// while they fill their up/down wire-codec streams, and unpacks them
+// through Inverse (non-idempotent Sum) on the replica machines.
 TEST(LazyBlockThreads, ForcedM2mKcoreBitIdenticalAcrossClusterThreads) {
   const sim::SimMetrics m = expect_thread_invariant(
       testsupport::build_dgraph(directed_graph().symmetrized(), 8),
@@ -169,6 +170,33 @@ TEST(LazyBlockThreads, ForcedM2mKcoreBitIdenticalAcrossClusterThreads) {
       });
   EXPECT_GT(m.m2m_exchanges, 0u);
   EXPECT_EQ(m.a2a_exchanges, 0u);
+  EXPECT_GT(m.exchange_bytes_wire, 0u);
+}
+
+// Four diffusion lanes batched into one run: every exchanged delta is a wide
+// LaneMsg that the replica machines pack by value, the coordinators fold in
+// machine order and the replicas unpack through the lane-wise Inverse.
+TEST(LazyBlockThreads, BatchedDiffusionBitIdenticalAcrossClusterThreads) {
+  using BP = serve::BatchedProgram<algos::LinearDiffusion, 4>;
+  BP prog;
+  const vid_t seeds[] = {0, 7, 100, 333};
+  for (std::size_t i = 0; i < 4; ++i) {
+    prog.lanes[i] = {.alpha = 0.6, .seed = seeds[i], .tol = 1e-6};
+  }
+  const auto dg = testsupport::build_dgraph(
+      directed_graph(), 8, partition::CutKind::kCoordinated, 7,
+      /*split=*/true);
+  const sim::SimMetrics m = expect_thread_invariant(
+      dg, {.kind = EngineKind::kLazyBlock}, prog,
+      [](const BP::VData& a, const BP::VData& b) {
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          if (a[i].value != b[i].value ||
+              a[i].pending_delta != b[i].pending_delta) {
+            return false;
+          }
+        }
+        return true;
+      });
   EXPECT_GT(m.exchange_bytes_wire, 0u);
 }
 
