@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
+#include "util/flat_set.hpp"
 #include "util/rng.hpp"
 
 namespace lazygraph::gen {
@@ -80,8 +80,7 @@ Graph chung_lu(vid_t n, std::uint64_t m, double alpha, std::uint64_t seed,
     const auto it = std::lower_bound(cum.begin(), cum.end(), r);
     return static_cast<vid_t>(it - cum.begin());
   };
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(m * 2);
+  FlatU64Set seen(m);
   std::vector<Edge> edges;
   edges.reserve(m);
   std::uint64_t attempts = 0;
@@ -100,7 +99,7 @@ Graph chung_lu(vid_t n, std::uint64_t m, double alpha, std::uint64_t seed,
     }
     if (u == v) continue;
     const std::uint64_t key = (static_cast<std::uint64_t>(u) << 32) | v;
-    if (!seen.insert(key).second) continue;
+    if (!seen.insert(key)) continue;
     edges.push_back({u, v, draw_weight(rng, w)});
   }
   return Graph(n, std::move(edges));

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_set>
 
+#include "util/flat_set.hpp"
 #include "util/rng.hpp"
 #include "util/threadpool.hpp"
 
@@ -54,10 +54,13 @@ std::vector<vid_t> count_degrees(vid_t num_vertices,
 
 Graph::Graph(vid_t num_vertices, std::vector<Edge> edges)
     : num_vertices_(num_vertices), edges_(std::move(edges)) {
+  // One require() after the scan: it builds its message string on every
+  // call, which per edge would be a heap allocation each.
+  bool in_range = true;
   for (const Edge& e : edges_) {
-    require(e.src < num_vertices_ && e.dst < num_vertices_,
-            "Graph: edge endpoint out of range");
+    in_range &= e.src < num_vertices_ && e.dst < num_vertices_;
   }
+  require(in_range, "Graph: edge endpoint out of range");
 }
 
 double Graph::edge_vertex_ratio() const {
@@ -161,28 +164,26 @@ std::uint64_t pair_key(vid_t a, vid_t b) {
 }  // namespace
 
 Graph Graph::symmetrized() const {
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(edges_.size() * 2);
+  FlatU64Set seen(edges_.size() * 2);
   std::vector<Edge> out;
   out.reserve(edges_.size() * 2);
   for (const Edge& e : edges_) {
     if (e.src == e.dst) continue;
-    if (seen.insert(pair_key(e.src, e.dst)).second)
+    if (seen.insert(pair_key(e.src, e.dst)))
       out.push_back({e.src, e.dst, e.weight});
-    if (seen.insert(pair_key(e.dst, e.src)).second)
+    if (seen.insert(pair_key(e.dst, e.src)))
       out.push_back({e.dst, e.src, e.weight});
   }
   return Graph(num_vertices_, std::move(out));
 }
 
 Graph Graph::simplified() const {
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(edges_.size());
+  FlatU64Set seen(edges_.size());
   std::vector<Edge> out;
   out.reserve(edges_.size());
   for (const Edge& e : edges_) {
     if (e.src == e.dst) continue;
-    if (seen.insert(pair_key(e.src, e.dst)).second) out.push_back(e);
+    if (seen.insert(pair_key(e.src, e.dst))) out.push_back(e);
   }
   return Graph(num_vertices_, std::move(out));
 }

@@ -74,8 +74,6 @@ std::uint64_t artifact_bytes(const DistributedGraph& dg) {
          vec_bytes(p.local_in_degree) + vec_bytes(p.offsets) +
          vec_bytes(p.targets) + vec_bytes(p.weights) +
          vec_bytes(p.parallel_mode);
-    b += p.g2l.size() *
-         (sizeof(std::pair<vid_t, lvid_t>) + 2 * sizeof(void*));
     b += p.remote_replicas.size() *
          sizeof(std::vector<std::pair<machine_t, lvid_t>>);
     for (const auto& r : p.remote_replicas) b += vec_bytes(r);

@@ -1,6 +1,5 @@
 #include "partition/dgraph.hpp"
 
-#include <algorithm>
 #include <bit>
 
 #include "util/rng.hpp"
@@ -116,8 +115,9 @@ DistributedGraph DistributedGraph::build(
   // Step 5: local vertex tables (lvids ordered by global id). One pass over
   // the masks pre-counts each machine's replicas so every per-part vector
   // reserves its final size up front, and the flat (machine, lvid) replica
-  // list plus master lvids are recorded while lvids are assigned — the only
-  // g2l hashing left is building the map itself (kept for external lookups).
+  // list plus master lvids are recorded while lvids are assigned. No
+  // gid -> lvid map is kept: lvids ascend with gid, so a binary search over
+  // `gids` answers any lookup, and step 7 uses a dense scratch table.
   // lvid assignment is a sequential scan by construction (lvids are dense in
   // ascending gid order); it is O(V * lambda) and stays serial.
   dg.parts_.resize(machines);
@@ -135,7 +135,6 @@ DistributedGraph DistributedGraph::build(
     Part& part = dg.parts_[m];
     const std::size_t cnt = replicas_per[m];
     part.gids.reserve(cnt);
-    part.g2l.reserve(cnt);
     part.replica_mask.reserve(cnt);
     part.master.reserve(cnt);
     part.global_out_degree.reserve(cnt);
@@ -156,7 +155,6 @@ DistributedGraph DistributedGraph::build(
       Part& part = dg.parts_[mach];
       const auto lvid = static_cast<lvid_t>(part.gids.size());
       part.gids.push_back(v);
-      part.g2l.emplace(v, lvid);
       part.replica_mask.push_back(mask[v]);
       part.master.push_back(dg.master_of_[v]);
       part.global_out_degree.push_back(out_deg[v]);
@@ -195,9 +193,8 @@ DistributedGraph DistributedGraph::build(
   // one-edge mode; split edges get a parallel copy on every machine holding
   // a replica of the destination (final masks, per the fixpoint above).
   // Bucketing runs over edge ranges with range-private per-machine buckets;
-  // each machine later concatenates its buckets in range order, which IS
-  // the serial (global edge order) sequence — so the stable sort below sees
-  // the identical input for any thread count.
+  // read in range order they ARE the serial (global edge order) sequence,
+  // so the CSR below comes out identical for any thread count.
   struct TmpEdge {
     vid_t src, dst;
     float w;
@@ -236,48 +233,42 @@ DistributedGraph DistributedGraph::build(
       });
   for (const std::uint64_t c : copies_per_range) dg.parallel_copies_ += c;
 
-  // Per-machine CSR construction, parallel across machine ranges. Each
+  // Per-machine CSR by a stable counting sort keyed by source lvid,
+  // parallel across machine ranges: one count pass over the machine's
+  // buckets, a prefix sum, then a place pass in bucket order. Within one
+  // source the edges keep their bucket (= global edge) order, and lvids
+  // ascend with gid, so this is exactly a stable sort by source gid. Each
   // range owns one dense gid -> lvid scratch: machine m only resolves gids
   // that have a local replica on m, and the refill below rewrites exactly
   // those slots, so no reset between a range's machines is needed.
   parallel_ranges(machines, nthreads, [&](std::size_t, std::size_t lo,
                                           std::size_t hi) {
     std::vector<lvid_t> lookup(n, kInvalidLvid);
+    std::vector<std::uint64_t> cursor;
     for (std::size_t mi = lo; mi < hi; ++mi) {
-      const auto m = static_cast<machine_t>(mi);
-      Part& part = dg.parts_[m];
-      std::size_t edge_count = 0;
-      for (const auto& buckets : tmp) edge_count += buckets[m].size();
-      std::vector<TmpEdge> edges;
-      edges.reserve(edge_count);
+      Part& part = dg.parts_[mi];
+      const lvid_t nl = part.num_local();
+      for (lvid_t i = 0; i < nl; ++i) lookup[part.gids[i]] = i;
+      part.offsets.assign(static_cast<std::size_t>(nl) + 1, 0);
       for (const auto& buckets : tmp) {
-        edges.insert(edges.end(), buckets[m].begin(), buckets[m].end());
+        for (const TmpEdge& e : buckets[mi]) ++part.offsets[lookup[e.src] + 1];
       }
-      std::stable_sort(edges.begin(), edges.end(),
-                       [](const TmpEdge& a, const TmpEdge& b) {
-                         return a.src < b.src;
-                       });
-      part.offsets.assign(part.num_local() + 1, 0);
-      part.targets.reserve(edges.size());
-      part.weights.reserve(edges.size());
-      part.parallel_mode.reserve(edges.size());
-      part.local_in_degree.assign(part.num_local(), 0);
-      for (lvid_t i = 0; i < part.num_local(); ++i) lookup[part.gids[i]] = i;
-      for (const TmpEdge& e : edges) {
-        const lvid_t ls = lookup[e.src];
-        const lvid_t ld = lookup[e.dst];
-        ++part.offsets[ls + 1];
-        ++part.local_in_degree[ld];
-        part.targets.push_back(ld);
-        part.weights.push_back(e.w);
-        part.parallel_mode.push_back(e.parallel ? 1 : 0);
-      }
-      // offsets currently counts per-source in gid order of *sorted edges*;
-      // but targets were appended in sorted-edge order keyed by global src
-      // id, while offsets index by lvid. lvids are assigned in increasing
-      // gid order, so sorting by global src id equals sorting by lvid.
-      for (lvid_t v = 0; v < part.num_local(); ++v) {
-        part.offsets[v + 1] += part.offsets[v];
+      for (lvid_t v = 0; v < nl; ++v) part.offsets[v + 1] += part.offsets[v];
+      const std::uint64_t edge_count = part.offsets[nl];
+      part.targets.resize(edge_count);
+      part.weights.resize(edge_count);
+      part.parallel_mode.resize(edge_count);
+      part.local_in_degree.assign(nl, 0);
+      cursor.assign(part.offsets.begin(), part.offsets.end() - 1);
+      for (const auto& buckets : tmp) {
+        for (const TmpEdge& e : buckets[mi]) {
+          const std::uint64_t pos = cursor[lookup[e.src]]++;
+          const lvid_t ld = lookup[e.dst];
+          part.targets[pos] = ld;
+          part.weights[pos] = e.w;
+          part.parallel_mode[pos] = e.parallel ? 1 : 0;
+          ++part.local_in_degree[ld];
+        }
       }
     }
   });

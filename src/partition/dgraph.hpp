@@ -6,7 +6,6 @@
 #include <bit>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -18,8 +17,7 @@ namespace lazygraph::partition {
 /// One machine's share of the distributed graph.
 struct Part {
   // --- vertices (index = local vertex id) ---
-  std::vector<vid_t> gids;                   // lvid -> global id
-  std::unordered_map<vid_t, lvid_t> g2l;     // global id -> lvid
+  std::vector<vid_t> gids;                   // lvid -> global id, ascending
   std::vector<std::uint64_t> replica_mask;   // machines holding a replica
   std::vector<machine_t> master;             // master machine of the vertex
   std::vector<lvid_t> master_lvid;           // lvid on the master machine

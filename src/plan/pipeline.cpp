@@ -79,24 +79,31 @@ bool needs_symmetrized(AlgoKind a) {
 
 std::string StageSpec::to_string() const {
   std::string out = plan::to_string(algo);
+  // Appended piecewise: `"(" + std::to_string(k)` trips GCC 12's -O3
+  // -Wrestrict false positive (GCC bug 105651).
+  const auto args = [&out](const std::string& a) {
+    out += '(';
+    out += a;
+    out += ')';
+  };
   switch (algo) {
     case AlgoKind::kSssp:
     case AlgoKind::kBfs:
     case AlgoKind::kWidest:
-      out += "(" + std::to_string(source) + ")";
+      args(std::to_string(source));
       break;
     case AlgoKind::kCc:
-      if (has_source) out += "(" + std::to_string(source) + ")";
+      if (has_source) args(std::to_string(source));
       break;
     case AlgoKind::kKcore:
-      out += "(" + std::to_string(k) + ")";
+      args(std::to_string(k));
       break;
     case AlgoKind::kPagerank:
-      out += "(" + fmt_double(tol) + ")";
+      args(fmt_double(tol));
       break;
     case AlgoKind::kDiffusion:
-      out += "(" + std::to_string(source) + "," + fmt_double(alpha) + "," +
-             fmt_double(tol) + ")";
+      args(std::to_string(source) + "," + fmt_double(alpha) + "," +
+           fmt_double(tol));
       break;
   }
   if (!engine.empty()) out += "@" + engine;

@@ -27,6 +27,7 @@
 // guard matters for programs whose init activates every vertex (k-core).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -72,9 +73,13 @@ struct BatchedProgram {
   /// Live lanes; lanes [width, K) are padding and never initialize.
   std::size_t width = K;
 
+  /// `width` clamped to K: the lane loops' bound, which also lets the
+  /// compiler prove every lane index in range.
+  std::size_t live() const { return std::min(width, K); }
+
   VData init_data(const engine::VertexInfo& info) const {
     VData v{};
-    for (std::size_t i = 0; i < width; ++i) v[i] = lanes[i].init_data(info);
+    for (std::size_t i = 0; i < live(); ++i) v[i] = lanes[i].init_data(info);
     return v;
   }
 
@@ -82,7 +87,7 @@ struct BatchedProgram {
       const engine::VertexInfo& info) const {
     Msg m{};
     bool any = false;
-    for (std::size_t i = 0; i < width; ++i) {
+    for (std::size_t i = 0; i < live(); ++i) {
       if (const auto x = lanes[i].init_vertex_message(info)) {
         m.vals[i] = *x;
         m.has[i] = 1;
@@ -96,7 +101,7 @@ struct BatchedProgram {
   std::optional<Msg> init_edge_message(const engine::VertexInfo& src) const {
     Msg m{};
     bool any = false;
-    for (std::size_t i = 0; i < width; ++i) {
+    for (std::size_t i = 0; i < live(); ++i) {
       if (const auto x = lanes[i].init_edge_message(src)) {
         m.vals[i] = *x;
         m.has[i] = 1;

@@ -46,10 +46,16 @@ std::int64_t Options::get_int(const std::string& key, std::int64_t def,
                       "'");
   }
   if (errno == ERANGE || v < lo || v > hi) {
-    const std::string range =
-        hi == std::numeric_limits<std::int64_t>::max()
-            ? ">= " + std::to_string(lo)
-            : "[" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    // Appended piecewise: `"[" + std::to_string(lo)` trips GCC 12's -O3
+    // -Wrestrict false positive (GCC bug 105651).
+    const bool bounded = hi != std::numeric_limits<std::int64_t>::max();
+    std::string range = bounded ? "[" : ">= ";
+    range += std::to_string(lo);
+    if (bounded) {
+      range += ", ";
+      range += std::to_string(hi);
+      range += ']';
+    }
     throw OptionError("--" + key + ": " + text + " is out of range (must be " +
                       range + ")");
   }
@@ -76,6 +82,10 @@ double Options::get_double(const std::string& key, double def) const {
 
 void Options::reject_unknown(
     std::initializer_list<std::string_view> accepted) const {
+  if (!positional_.empty()) {
+    throw OptionError("unexpected argument '" + positional_.front() +
+                      "' (value flags take --flag=value)");
+  }
   for (const auto& [key, value] : kv_) {
     bool known = false;
     for (const std::string_view a : accepted) known = known || a == key;

@@ -1,5 +1,7 @@
 // Minimal command-line option parser for examples and bench drivers.
-// Supports --key=value and --flag forms; anything else is a positional arg.
+// Supports --key=value and --flag forms; anything else is a positional arg,
+// which reject_unknown refuses (so `--algo sssp` cannot silently mean a bare
+// --algo plus a stray "sssp").
 // A bare --flag is present with no value: get/get_int/get_double return
 // their default for it, get_bool returns true. A value get_int/get_double
 // cannot parse completely, or that falls outside the accepted range, throws
@@ -19,8 +21,8 @@
 
 namespace lazygraph {
 
-/// A malformed or out-of-range flag value, or an unknown flag; what() names
-/// the flag.
+/// A malformed or out-of-range flag value, an unknown flag or a stray
+/// positional argument; what() names it.
 class OptionError : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
@@ -40,8 +42,9 @@ class Options {
   /// The whole value as a finite double; `def` when absent.
   double get_double(const std::string& key, double def) const;
   bool get_bool(const std::string& key, bool def) const;
-  /// Throws OptionError naming the first given flag not in `accepted` (flag
-  /// names without the leading "--") and listing the accepted ones.
+  /// Throws OptionError naming the first positional argument, or else the
+  /// first given flag not in `accepted` (flag names without the leading
+  /// "--") and listing the accepted ones.
   void reject_unknown(std::initializer_list<std::string_view> accepted) const;
 
   const std::vector<std::string>& positional() const { return positional_; }

@@ -193,10 +193,6 @@ void ThreadPool::parallel_for_chunks(
   if (state->error) std::rethrow_exception(state->error);
 }
 
-void serial_for(std::size_t n, const std::function<void(std::size_t)>& body) {
-  for (std::size_t i = 0; i < n; ++i) body(i);
-}
-
 ThreadPool& shared_pool() {
   static ThreadPool pool(0);
   return pool;

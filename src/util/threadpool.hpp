@@ -57,10 +57,6 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Serial fallback with the same signature; used when determinism of
-/// *execution order* (not just results) is wanted, e.g. in tests.
-void serial_for(std::size_t n, const std::function<void(std::size_t)>& body);
-
 /// The process-wide worker pool. Created on first use with
 /// hardware_concurrency workers and shared by the setup path (ingest ->
 /// partition -> build) and every sim::Cluster: each call bounds its own

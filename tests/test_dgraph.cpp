@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <functional>
 #include <set>
 
 #include "graph/generators.hpp"
@@ -14,6 +16,14 @@ DistributedGraph make_dg(const Graph& g, machine_t machines,
                          CutKind kind = CutKind::kCoordinated) {
   return DistributedGraph::build(g, machines,
                                  assign_edges(g, machines, {kind, 7}));
+}
+
+// The lvid of `gid` on `part`, or kInvalidLvid when `part` holds no replica
+// of it. lvids ascend with gid, so `gids` is sorted.
+lvid_t local_id(const Part& part, vid_t gid) {
+  const auto it = std::lower_bound(part.gids.begin(), part.gids.end(), gid);
+  if (it == part.gids.end() || *it != gid) return kInvalidLvid;
+  return static_cast<lvid_t>(it - part.gids.begin());
 }
 
 TEST(DGraph, EveryEdgeAppearsExactlyOnce) {
@@ -102,6 +112,18 @@ TEST(DGraph, RoutingTablesMatchMasks) {
   }
 }
 
+// lvids are assigned in ascending gid order, which local_id's binary search
+// and the counting-sort CSR both rely on.
+TEST(DGraph, GidsStrictlyAscendPerPart) {
+  const Graph g = gen::rmat(9, 6, 0.57, 0.19, 0.19, 3);
+  const auto dg = make_dg(g, 8);
+  for (const Part& part : dg.parts()) {
+    EXPECT_TRUE(std::adjacent_find(part.gids.begin(), part.gids.end(),
+                                   std::greater_equal<>()) ==
+                part.gids.end());
+  }
+}
+
 TEST(DGraph, IsolatedVerticesGetOneReplica) {
   const Graph g(6, {{0, 1, 1}});
   const auto dg = make_dg(g, 4, CutKind::kRandom);
@@ -165,15 +187,14 @@ TEST(DGraph, SplitEdgesCopiedToAllDestinationReplicas) {
     std::uint64_t copies = 0;
     for (machine_t m = 0; m < p; ++m) {
       const Part& part = dg.part(m);
-      const auto it = part.g2l.find(e.src);
-      if (it == part.g2l.end()) continue;
-      const lvid_t lv = it->second;
+      const lvid_t lv = local_id(part, e.src);
+      if (lv == kInvalidLvid) continue;
       for (std::uint64_t le = part.offsets[lv]; le < part.offsets[lv + 1];
            ++le) {
         if (part.gids[part.targets[le]] == e.dst && part.parallel_mode[le]) {
           ++copies;
           // Dispatch rule: destination must have a replica here.
-          EXPECT_TRUE(part.g2l.count(e.dst));
+          EXPECT_NE(local_id(part, e.dst), kInvalidLvid);
         }
       }
     }
@@ -194,8 +215,8 @@ TEST(DGraph, SplitEdgesCreateSourceReplicas) {
   const Edge& e = g.edges()[0];
   for (machine_t m = 0; m < p; ++m) {
     const Part& part = dg.part(m);
-    if (part.g2l.count(e.dst)) {
-      EXPECT_TRUE(part.g2l.count(e.src))
+    if (local_id(part, e.dst) != kInvalidLvid) {
+      EXPECT_NE(local_id(part, e.src), kInvalidLvid)
           << "source replica missing on machine " << m;
     }
   }

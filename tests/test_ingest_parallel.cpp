@@ -4,15 +4,22 @@
 // parallel edge-list parser and the artifact-cache behavior tests.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <span>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "partition/artifact_cache.hpp"
 #include "partition/dgraph.hpp"
+#include "partition/edge_splitter.hpp"
 #include "partition/partitioner.hpp"
+#include "util/rng.hpp"
 
 namespace lazygraph {
 namespace {
@@ -134,6 +141,147 @@ TEST(BuildThreadEquality, SplitBuildIdenticalAcrossThreadCounts) {
     expect_parts_equal(serial, DistributedGraph::build(g, 16, a, split, t),
                        t);
   }
+}
+
+// --- pinned setup outputs ---
+//
+// Golden values for the setup outputs themselves. Edge order is part of a
+// graph's identity (content_hash is order-dependent), so these pins hold
+// every dedupe accept/reject decision and the local CSR layout to the bit,
+// whatever set or sort produces them.
+
+struct Table1Pin {
+  const char* name;
+  std::uint64_t edges;
+  std::uint64_t hash;
+  std::uint64_t sym_edges;
+  std::uint64_t sym_hash;
+};
+
+void PrintTo(const Table1Pin& pin, std::ostream* os) { *os << pin.name; }
+
+class Table1ContentPin : public ::testing::TestWithParam<Table1Pin> {};
+
+TEST_P(Table1ContentPin, PlainAndSymmetrizedAtScaleOne) {
+  const Table1Pin& pin = GetParam();
+  const Graph g = datasets::make(datasets::spec_by_name(pin.name), 1.0);
+  const Graph sym = g.symmetrized();
+  EXPECT_EQ(g.num_edges(), pin.edges);
+  EXPECT_EQ(g.content_hash(), pin.hash);
+  EXPECT_EQ(sym.num_edges(), pin.sym_edges);
+  EXPECT_EQ(sym.content_hash(), pin.sym_hash);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table1, Table1ContentPin,
+    ::testing::Values(
+        Table1Pin{"uk2005-like", 1423800, 3514077528474665094u,
+                  1965434, 7509532861593248613u},
+        Table1Pin{"webgoogle-like", 524700, 3955562748878267571u,
+                  965008, 9868731826352070619u},
+        Table1Pin{"roadusa-like", 110282, 17150646949133029785u,
+                  110282, 17150646949133029785u},
+        Table1Pin{"roadnetca-like", 52000, 3129234064715819889u,
+                  52000, 3129234064715819889u},
+        Table1Pin{"twitter-like", 1563469, 9517779919690397564u,
+                  3110058, 1139102046843788035u},
+        Table1Pin{"livejournal-like", 996100, 6921268908641457389u,
+                  1961088, 12666426188101923309u},
+        Table1Pin{"enwiki-like", 1204500, 18366133392683772611u,
+                  2391052, 2917293212272187365u},
+        Table1Pin{"youtube-like", 527000, 11411439352775308590u,
+                  1030588, 3910491749708181286u}),
+    [](const auto& info) {
+      std::string name = info.param.name;
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
+TEST(SimplifiedPin, DuplicateHeavyRmat) {
+  // a = 0.7 concentrates draws in the top-left quadrant, so most raw draws
+  // repeat an earlier (src, dst) pair and simplified() drops them.
+  const vid_t scale = 11;
+  const std::uint64_t epv = 32;
+  const Graph g = gen::rmat(scale, epv, 0.7, 0.1, 0.1, 17);
+  EXPECT_LT(g.num_edges(), (std::uint64_t{1} << scale) * epv / 2);
+  EXPECT_EQ(g.num_edges(), 29148u);
+  EXPECT_EQ(g.content_hash(), 1006867694659984838u);
+  // simplified() of an already simple graph is the identity.
+  EXPECT_EQ(g.simplified().content_hash(), g.content_hash());
+}
+
+std::uint64_t fold(std::uint64_t h, std::uint64_t x) { return mix64(h ^ x); }
+
+template <class T>
+std::uint64_t fold_vec(std::uint64_t h, const std::vector<T>& v) {
+  h = fold(h, v.size());
+  for (const T& x : v) {
+    if constexpr (std::is_same_v<T, float>) {
+      h = fold(h, std::bit_cast<std::uint32_t>(x));
+    } else {
+      h = fold(h, static_cast<std::uint64_t>(x));
+    }
+  }
+  return h;
+}
+
+// Field digest of every Part: gids, CSR, parallel mode, local in-degrees,
+// master lvids and replica routing tables.
+std::uint64_t dgraph_digest(const DistributedGraph& dg) {
+  std::uint64_t h = fold(0x64677261u, dg.num_machines());
+  for (const partition::Part& p : dg.parts()) {
+    h = fold_vec(h, p.gids);
+    h = fold_vec(h, p.offsets);
+    h = fold_vec(h, p.targets);
+    h = fold_vec(h, p.weights);
+    h = fold_vec(h, p.parallel_mode);
+    h = fold_vec(h, p.local_in_degree);
+    h = fold_vec(h, p.master_lvid);
+    h = fold(h, p.remote_replicas.size());
+    for (const auto& rr : p.remote_replicas) {
+      h = fold(h, rr.size());
+      for (const auto& [m, lv] : rr) {
+        h = fold(h, static_cast<std::uint64_t>(m) << 32 | lv);
+      }
+    }
+  }
+  return h;
+}
+
+const Graph& livejournal_quarter() {
+  static const Graph g =
+      datasets::make(datasets::spec_by_name("livejournal-like"), 0.25);
+  return g;
+}
+
+void expect_build_digest(const Graph& g, std::span<const std::uint64_t> split,
+                         std::uint64_t want) {
+  const Assignment a =
+      assign_edges(g, 16, {.kind = CutKind::kCoordinated, .seed = 5});
+  for (const std::size_t t : {1, 4}) {
+    EXPECT_EQ(dgraph_digest(DistributedGraph::build(g, 16, a, split, t)),
+              want)
+        << "threads=" << t;
+  }
+}
+
+TEST(BuildDigestPin, LivejournalPlain) {
+  expect_build_digest(livejournal_quarter(), {}, 4617958154020442486u);
+}
+
+TEST(BuildDigestPin, LivejournalSymmetrized) {
+  expect_build_digest(livejournal_quarter().symmetrized(), {},
+                      11509566773811669434u);
+}
+
+TEST(BuildDigestPin, LivejournalSplit) {
+  const Graph& g = livejournal_quarter();
+  const std::vector<std::uint64_t> split =
+      partition::select_split_edges(g, 16, {});
+  ASSERT_FALSE(split.empty());
+  expect_build_digest(g, split, 10741405154812404203u);
 }
 
 // --- parallel edge-list reader ---

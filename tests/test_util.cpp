@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "util/common.hpp"
+#include "util/flat_set.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -211,10 +212,22 @@ TEST(ThreadPoolChunks, NestedInsideParallelForCompletes) {
   EXPECT_EQ(total.load(), 6 * 128);
 }
 
-TEST(SerialFor, RunsInOrder) {
-  std::vector<std::size_t> order;
-  serial_for(5, [&](std::size_t i) { order.push_back(i); });
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+TEST(FlatU64Set, InsertReportsWhetherTheKeyWasNew) {
+  FlatU64Set set(1000);
+  for (std::uint64_t k = 0; k < 1000; ++k) {
+    EXPECT_TRUE(set.insert(k * 0x9e3779b97f4a7c15u)) << k;
+  }
+  for (std::uint64_t k = 0; k < 1000; ++k) {
+    EXPECT_FALSE(set.insert(k * 0x9e3779b97f4a7c15u)) << k;
+  }
+}
+
+TEST(FlatU64Set, RejectsMoreKeysThanSizedFor) {
+  FlatU64Set set(2);
+  EXPECT_TRUE(set.insert(0));
+  EXPECT_TRUE(set.insert(FlatU64Set::kEmpty - 1));
+  EXPECT_FALSE(set.insert(0));  // a repeat still answers
+  EXPECT_THROW(set.insert(7), std::length_error);
 }
 
 TEST(RunningStat, MeanMinMax) {
@@ -331,12 +344,27 @@ TEST(Options, RejectsUnknownFlagNamingItAndTheAcceptedOnes) {
   EXPECT_THROW(Options(2, bare).reject_unknown({"machines"}), OptionError);
 }
 
-TEST(Options, AcceptsKnownFlagsAndPositionals) {
-  const char* argv[] = {"prog", "--machines=4", "pos", "--trace"};
-  Options o(4, argv);
+TEST(Options, AcceptsKnownFlags) {
+  const char* argv[] = {"prog", "--machines=4", "--trace"};
+  Options o(3, argv);
   EXPECT_NO_THROW(o.reject_unknown({"machines", "trace", "seed"}));
   const char* none[] = {"prog"};
   EXPECT_NO_THROW(Options(1, none).reject_unknown({}));
+}
+
+// `--algo sssp` parses as a bare --algo plus the positional "sssp"; a tool
+// must refuse it rather than run its default algorithm.
+TEST(Options, RejectsStrayPositionalNamingIt) {
+  const char* argv[] = {"prog", "--algo", "sssp", "--machines=4"};
+  Options o(4, argv);
+  try {
+    o.reject_unknown({"algo", "machines"});
+    ADD_FAILURE() << "stray positional 'sssp' was accepted";
+  } catch (const OptionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'sssp'"), std::string::npos) << what;
+    EXPECT_NE(what.find("--flag=value"), std::string::npos) << what;
+  }
 }
 
 TEST(Options, DefaultsWhenMissing) {
