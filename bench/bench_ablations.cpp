@@ -12,8 +12,9 @@
 using namespace lazygraph;
 using bench::Algo;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv);
+  opts.reject_unknown({"machines", "scale"});
   bench::ExperimentConfig cfg;
   cfg.machines = static_cast<machine_t>(opts.get_int("machines", 48));
   cfg.dataset_scale = opts.get_double("scale", 1.0);
@@ -88,4 +89,7 @@ int main(int argc, char** argv) {
     t.print(std::cout);
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -14,8 +14,9 @@
 using namespace lazygraph;
 using bench::Algo;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv);
+  opts.reject_unknown({"scale"});
   bench::ExperimentConfig cfg;
   cfg.dataset_scale = opts.get_double("scale", 1.0);
   const std::vector<machine_t> machine_counts = {8, 16, 24, 32, 40, 48};
@@ -71,4 +72,7 @@ int main(int argc, char** argv) {
     std::cout << '\n';
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -12,8 +12,9 @@
 using namespace lazygraph;
 using bench::Algo;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv);
+  opts.reject_unknown({"machines", "scale"});
   const sim::NetworkModel net{};
 
   std::cout << "Fig. 8(b): fitted communication time vs traffic\n\n";
@@ -66,4 +67,7 @@ int main(int argc, char** argv) {
                "exchange; small volumes favour all-to-all, large favour "
                "mirrors-to-master)\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

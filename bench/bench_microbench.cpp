@@ -91,11 +91,12 @@ engine::SweepCounters sweep_cell(benchmark::State& state, const P& prog,
       g, machines, {partition::CutKind::kCoordinated, 1});
   const auto dg = partition::DistributedGraph::build(g, machines, assignment);
   const partition::Part& part = dg.part(0);
-  auto states = engine::make_states(dg, prog);
+  sim::Cluster cluster({machines, {}, 1});
+  auto states = engine::make_states(dg, prog, cluster);
   engine::SweepCounters last = {};
   for (auto _ : state) {
     state.PauseTiming();
-    states = engine::make_states(dg, prog);
+    states = engine::make_states(dg, prog, cluster);
     for (lvid_t v = 0; v < part.num_local(); v += stride) {
       // 2.0 (not 1.0): pagerank-delta's init pending_delta is -0.85, and an
       // accum of exactly 1.0 would cancel it — no vertex would scatter and

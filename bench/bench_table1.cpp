@@ -9,8 +9,9 @@
 
 using namespace lazygraph;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv);
+  opts.reject_unknown({"machines", "scale"});
   const auto machines =
       static_cast<machine_t>(opts.get_int("machines", 48));
   const double scale = opts.get_double("scale", 1.0);
@@ -33,4 +34,7 @@ int main(int argc, char** argv) {
             << machines << " partitions\n\n";
   t.print(std::cout);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -7,7 +7,8 @@
 
 using namespace lazygraph;
 
-int main() {
+int main(int argc, char** argv) try {
+  Options(argc, argv).reject_unknown({});  // takes no flags
   // 1. A user-view graph: a small scale-free network.
   const Graph g = gen::rmat(/*scale=*/10, /*edges_per_vertex=*/8, 0.57, 0.19,
                             0.19, /*seed=*/42);
@@ -52,4 +53,7 @@ int main() {
     std::cout << "\n\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -14,8 +14,9 @@
 
 using namespace lazygraph;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Options opts(argc, argv);
+  opts.reject_unknown({"machines", "scale", "tol", "top", "seed-page"});
   const auto machines =
       static_cast<machine_t>(opts.get_int("machines", 16));
   const double scale = opts.get_double("scale", 0.2);
@@ -88,4 +89,7 @@ int main(int argc, char** argv) {
                     ? "\ncomposed lowering bit-identical to sequential\n"
                     : "\nMISMATCH vs sequential lowering!\n");
   return identical ? 0 : 1;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

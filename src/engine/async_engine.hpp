@@ -53,9 +53,9 @@ class AsyncEngine {
 
   RunResult<P> run() {
     const machine_t p = dg_.num_machines();
-    states_ = make_states(dg_, prog_, init_);
+    states_ = make_states(dg_, prog_, cluster_, init_);
     cluster_.metrics().sweep_scanned +=
-        init_eager_messages(prog_, dg_, states_, init_);
+        init_eager_messages(prog_, dg_, states_, cluster_, init_);
     recovery::Recoverer<P> recoverer(cluster_, dg_);
 
     RunResult<P> result;
@@ -135,7 +135,7 @@ class AsyncEngine {
           bool first = true;
           if (s.has_msg[v]) {
             acc = s.msg[v];
-            s.has_msg[v] = 0;
+            s.has_msg.reset(v);
             first = false;
           }
           work[m] += part.local_in_degree[v] + 1;
@@ -149,11 +149,11 @@ class AsyncEngine {
             if (!rs.has_msg[rl]) continue;
             acc = first ? rs.msg[rl] : prog_.sum(acc, rs.msg[rl]);
             first = false;
-            rs.has_msg[rl] = 0;
+            rs.has_msg.reset(rl);
           }
 
           const VertexInfo info = vertex_info<P>(part, v);
-          s.applied[v] = 1;
+          s.applied.set(v);
           const auto payload = prog_.apply(s.vdata[v], info, acc);
 
           // Eager coherency: immediately replicate the new vertex data.

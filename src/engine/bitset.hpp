@@ -4,22 +4,14 @@
 // The bitset does not own memory: PartState carves `words_for(n)` 64-bit
 // words per flag set out of its slab and attach()es views.
 //
-// Two write paths, one contract:
-//   - set(i)/reset(i) are plain read-modify-writes of the containing word.
-//     They are for owner-only phases: the writing machine is the only one
-//     touching these words until the next fork/join barrier (every deposit
-//     that records a frontier activation, the sweeps' flag clears, the
-//     applied marks).
-//   - `flags[i] = b` goes through a proxy that RMWs the word with relaxed
-//     std::atomic_ref fetch_or/fetch_and. It is for phases where another
-//     machine's body touches the same words at the same time (the sync
-//     gather's own-slot folds that other masters read). Distinct bits of
-//     one word commute under fetch_or/fetch_and, so the result is
-//     bit-identical to the serial order regardless of interleaving.
-// Reads by the owning machine are plain loads: every such reader runs after
-// the writers' fork/join barrier (pool join or serial loop), which gives
-// happens-before. A read in a phase where another machine's body may RMW
-// other bits of the same word uses load().
+// Write contract: set(i)/reset(i) are the only writes, each a plain
+// read-modify-write of the containing word. Every engine phase is
+// owner-computes (the writing machine is the only one touching its words
+// until the next fork/join barrier; cross-machine data moves by value
+// through outboxes), so no flag word is ever shared within a phase and no
+// atomics are needed. Reads by the owning machine are plain loads: every
+// such reader runs after the writers' fork/join barrier (pool join or serial
+// loop), which gives happens-before.
 //
 // count() is a word-wise popcount — this is what makes count_msgs() O(n/64)
 // instead of the old O(n) byte scan — and find_next() walks the words with
@@ -28,7 +20,6 @@
 // size() (e.g. from poisoning) never surface.
 #pragma once
 
-#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -52,41 +43,8 @@ class Bitset {
     nbits_ = nbits;
   }
 
-  /// Shared-phase write proxy: `flags[v] = 1` / `flags[v] = 0` as atomic
-  /// fetch_or / fetch_and on the containing word (relaxed; distinct-bit ops
-  /// commute). Owner-only phases use set()/reset() instead.
-  class Ref {
-   public:
-    Ref(std::uint64_t* word, std::uint64_t mask) : word_(word), mask_(mask) {}
-
-    Ref& operator=(bool b) {
-      std::atomic_ref<std::uint64_t> w(*word_);
-      if (b) {
-        w.fetch_or(mask_, std::memory_order_relaxed);
-      } else {
-        w.fetch_and(~mask_, std::memory_order_relaxed);
-      }
-      return *this;
-    }
-
-    operator bool() const { return (*word_ & mask_) != 0; }
-
-   private:
-    std::uint64_t* word_;
-    std::uint64_t mask_;
-  };
-
-  Ref operator[](std::size_t i) { return Ref(words_ + i / kWordBits, bit(i)); }
-
   bool operator[](std::size_t i) const {
     return (words_[i / kWordBits] >> (i % kWordBits)) & 1;
-  }
-
-  /// Relaxed atomic read of flag i, for readers running concurrently with
-  /// another machine's proxy writes to *other* bits of the word.
-  bool load(std::size_t i) const {
-    std::atomic_ref<std::uint64_t> word(words_[i / kWordBits]);
-    return (word.load(std::memory_order_relaxed) >> (i % kWordBits)) & 1;
   }
 
   /// Owner-only writes: plain RMW of the containing word.

@@ -71,9 +71,9 @@ class LazyBlockAsyncEngine {
 
   RunResult<P> run() {
     const machine_t p = dg_.num_machines();
-    states_ = make_states(dg_, prog_, init_);
+    states_ = make_states(dg_, prog_, cluster_, init_);
     cluster_.metrics().sweep_scanned +=
-        init_lazy_messages(prog_, dg_, states_, init_);
+        init_lazy_messages(prog_, dg_, states_, cluster_, init_);
     reserve_exchange_scratch();
     recovery::Recoverer<P> recoverer(cluster_, dg_);
 

@@ -46,9 +46,9 @@ class LazyVertexAsyncEngine {
 
   RunResult<P> run() {
     const machine_t p = dg_.num_machines();
-    states_ = make_states(dg_, prog_, init_);
+    states_ = make_states(dg_, prog_, cluster_, init_);
     cluster_.metrics().sweep_scanned +=
-        init_lazy_messages(prog_, dg_, states_, init_);
+        init_lazy_messages(prog_, dg_, states_, cluster_, init_);
 
     queues_.assign(p, {});
     in_queue_.resize(p);
@@ -155,12 +155,12 @@ class LazyVertexAsyncEngine {
 
     // Stage 1 of Algorithm 2: local apply + scatter.
     const typename P::Msg acc = s.msg[v];
-    s.has_msg[v] = 0;
+    s.has_msg.reset(v);
     const VertexInfo info = vertex_info<P>(part, v);
     ++cluster_.metrics().applies;
     ++work[m];
     if (spans) ++applies_since_[m][v];
-    s.applied[v] = 1;
+    s.applied.set(v);
     const auto payload = prog_.apply(s.vdata[v], info, acc);
     if (payload) {
       for (std::uint64_t e = part.offsets[v]; e < part.offsets[v + 1]; ++e) {
@@ -214,7 +214,7 @@ class LazyVertexAsyncEngine {
         if (nd > 1) {
           deposit_msg(prog_, rs, rv, without_own(prog_, total, rs.delta[rv]));
         }
-        rs.has_delta[rv] = 0;
+        rs.has_delta.reset(rv);
       } else {
         deposit_msg(prog_, rs, rv, total);
       }

@@ -34,23 +34,28 @@ namespace lazygraph::engine {
 /// the scan's vertices in scan order, the deposits it makes are emitted in
 /// the exact order the full scan would emit them — bit-identical results
 /// whenever the worklist covers every vertex the program initializes.
-/// Returns the candidate slots examined (the init share of sweep_scanned).
+/// body(m, v) writes only machine m's state, so the machines run in the
+/// cluster's machine bodies. Returns the candidate slots examined (the init
+/// share of sweep_scanned), summed in machine order.
 template <class Body>
 std::uint64_t for_each_init_vertex(const partition::DistributedGraph& dg,
-                                   const InitInjection* inj, Body&& body) {
-  std::uint64_t scanned = 0;
-  for (machine_t m = 0; m < dg.num_machines(); ++m) {
+                                   const InitInjection* inj,
+                                   sim::Cluster& cluster, Body&& body) {
+  std::vector<std::uint64_t> scanned(dg.num_machines(), 0);
+  cluster.parallel_machines([&](machine_t m) {
     const lvid_t n = dg.part(m).num_local();
     if (inj && inj->has_frontier) {
       const auto& list = inj->frontier[m];
-      scanned += list.size();
+      scanned[m] = list.size();
       for (const lvid_t v : list) body(m, v);
     } else {
-      scanned += n;
+      scanned[m] = n;
       for (lvid_t v = 0; v < n; ++v) body(m, v);
     }
-  }
-  return scanned;
+  });
+  std::uint64_t total = 0;
+  for (const std::uint64_t c : scanned) total += c;
+  return total;
 }
 
 /// Initialization placement for the lazy engines: vertex init messages go to
@@ -60,8 +65,9 @@ template <VertexProgram P>
 std::uint64_t init_lazy_messages(const P& prog,
                                  const partition::DistributedGraph& dg,
                                  std::vector<PartState<P>>& states,
+                                 sim::Cluster& cluster,
                                  const InitInjection* inj = nullptr) {
-  return for_each_init_vertex(dg, inj, [&](machine_t m, lvid_t v) {
+  return for_each_init_vertex(dg, inj, cluster, [&](machine_t m, lvid_t v) {
     const partition::Part& part = dg.part(m);
     PartState<P>& s = states[m];
     const VertexInfo info = vertex_info<P>(part, v);
@@ -88,8 +94,9 @@ template <VertexProgram P>
 std::uint64_t init_eager_messages(const P& prog,
                                   const partition::DistributedGraph& dg,
                                   std::vector<PartState<P>>& states,
+                                  sim::Cluster& cluster,
                                   const InitInjection* inj = nullptr) {
-  return for_each_init_vertex(dg, inj, [&](machine_t m, lvid_t v) {
+  return for_each_init_vertex(dg, inj, cluster, [&](machine_t m, lvid_t v) {
     const partition::Part& part = dg.part(m);
     PartState<P>& s = states[m];
     const VertexInfo info = vertex_info<P>(part, v);

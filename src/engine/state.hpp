@@ -10,11 +10,11 @@
 // machine instead of seven independently-allocated vectors, and copying a
 // machine image (recovery guard) is a single memcpy.
 //
-// Deposits come in two flavours that follow the Bitset write contract:
-// deposit_msg/deposit_delta record frontier activations and are owner-only,
-// so they write flags plainly; deposit_msg_raw is for the sync gather, where
-// other machines' bodies read the same flag words, so it uses load() and
-// the atomic proxy.
+// Every write to a PartState comes from the machine that owns it: the
+// engines' parallel_machines phases move data between machines by value
+// (pack -> join -> unpack), so flag writes are plain Bitset set()/reset().
+// deposit_msg/deposit_delta (and the fold under them) assert that ownership
+// in debug builds whenever the calling thread runs a machine body.
 #pragma once
 
 #include <cassert>
@@ -144,6 +144,9 @@ struct PartState {
   Frontier frontier;
   Frontier delta_frontier;
   SweepScratch<typename P::Msg> scratch;
+  /// The machine whose state this is (set by make_states); the debug
+  /// ownership check compares it with sim::current_machine().
+  machine_t owner = kInvalidMachine;
 
   PartState() = default;
   PartState(const PartState& o) { copy_from(o); }
@@ -262,6 +265,7 @@ struct PartState {
     if (slab_bytes_ > 0) std::memcpy(slab_, o.slab_, slab_bytes_);
     frontier = o.frontier;
     delta_frontier = o.delta_frontier;
+    owner = o.owner;
   }
 
   void move_from(PartState&& o) noexcept {
@@ -279,6 +283,7 @@ struct PartState {
     frontier = std::move(o.frontier);
     delta_frontier = std::move(o.delta_frontier);
     scratch = std::move(o.scratch);
+    owner = std::exchange(o.owner, kInvalidMachine);
   }
 
   void release() {
@@ -300,31 +305,22 @@ VertexInfo vertex_info(const partition::Part& part, lvid_t v) {
           part.global_total_degree[v]};
 }
 
-/// Sum-combines `m` into the message slot of `v` WITHOUT touching the
-/// frontier; returns whether this was a fresh (0->1) activation. Used in
-/// phases where other machines' bodies touch v's flag word at the same time
-/// (the sync gather's own-slot folds that other masters read), hence load()
-/// and the atomic proxy. Callers consume the flag before the next frontier
-/// derivation (frontier lists are not thread-safe).
-template <VertexProgram P>
-bool deposit_msg_raw(const P& prog, PartState<P>& s, lvid_t v,
-                     const typename P::Msg& m) {
-  if (s.has_msg.load(v)) {
-    s.msg[v] = prog.sum(s.msg[v], m);
-    return false;
-  }
-  s.msg[v] = m;
-  s.has_msg[v] = 1;
-  return true;
-}
-
 namespace detail {
 
-/// Owner-only sum-combine of `m` into slot v of (vals, flags) with plain
-/// flag writes; returns whether the flag went 0->1.
+/// Owner-only sum-combine of `m` into slot v of (vals, flags), one of s's
+/// message/delta sections; returns whether the flag went 0->1. Touches no
+/// frontier: callers that record activations go through deposit_msg /
+/// deposit_delta, and the sync gather's folds are consumed by its apply.
+/// Debug builds check the owner-computes contract here: inside a machine
+/// body only that machine's state is written (serial code outside every
+/// body — the serial engines, setup, tests — is exempt).
 template <VertexProgram P>
-bool fold_owned(const P& prog, ArenaSpan<typename P::Msg>& vals,
-                Bitset& flags, lvid_t v, const typename P::Msg& m) {
+bool fold_owned(const P& prog, [[maybe_unused]] const PartState<P>& s,
+                ArenaSpan<typename P::Msg>& vals, Bitset& flags, lvid_t v,
+                const typename P::Msg& m) {
+  assert((sim::current_machine() == kInvalidMachine ||
+          s.owner == sim::current_machine()) &&
+         "PartState written from another machine's body");
   if (flags[v]) {
     vals[v] = prog.sum(vals[v], m);
     return false;
@@ -342,7 +338,7 @@ bool fold_owned(const P& prog, ArenaSpan<typename P::Msg>& vals,
 template <VertexProgram P>
 bool deposit_msg(const P& prog, PartState<P>& s, lvid_t v,
                  const typename P::Msg& m) {
-  const bool fresh = detail::fold_owned(prog, s.msg, s.has_msg, v, m);
+  const bool fresh = detail::fold_owned(prog, s, s.msg, s.has_msg, v, m);
   if (fresh) s.frontier.activate(v);
   return fresh;
 }
@@ -352,17 +348,22 @@ bool deposit_msg(const P& prog, PartState<P>& s, lvid_t v,
 template <VertexProgram P>
 bool deposit_delta(const P& prog, PartState<P>& s, lvid_t v,
                    const typename P::Msg& m) {
-  const bool fresh = detail::fold_owned(prog, s.delta, s.has_delta, v, m);
+  const bool fresh = detail::fold_owned(prog, s, s.delta, s.has_delta, v, m);
   if (fresh) s.delta_frontier.activate(v);
   return fresh;
 }
 
 /// Initializes vdata on every replica: from the injection's per-global-vertex
-/// table when one is attached, from prog.init_data otherwise.
+/// table when one is attached, from prog.init_data otherwise. The slabs are
+/// allocated on the calling thread (one arena, so the process footprint does
+/// not grow with the pool); the per-machine initialization runs in the
+/// cluster's machine bodies, which must be one per machine of dg.
 template <VertexProgram P>
 std::vector<PartState<P>> make_states(const partition::DistributedGraph& dg,
-                                      const P& prog,
+                                      const P& prog, sim::Cluster& cluster,
                                       const InitInjection* inj = nullptr) {
+  require(cluster.num_machines() == dg.num_machines(),
+          "make_states: cluster and graph machine counts differ");
   const auto* seed =
       inj && inj->vdata
           ? static_cast<const std::vector<typename P::VData>*>(inj->vdata)
@@ -373,13 +374,17 @@ std::vector<PartState<P>> make_states(const partition::DistributedGraph& dg,
   }
   std::vector<PartState<P>> states(dg.num_machines());
   for (machine_t m = 0; m < dg.num_machines(); ++m) {
-    const partition::Part& part = dg.part(m);
-    states[m].resize(part.num_local());
-    for (lvid_t v = 0; v < part.num_local(); ++v) {
-      states[m].vdata[v] = seed ? (*seed)[part.gids[v]]
-                                : prog.init_data(vertex_info<P>(part, v));
-    }
+    states[m].resize(dg.part(m).num_local());
+    states[m].owner = m;
   }
+  cluster.parallel_machines([&](machine_t m) {
+    const partition::Part& part = dg.part(m);
+    PartState<P>& s = states[m];
+    for (lvid_t v = 0; v < part.num_local(); ++v) {
+      s.vdata[v] = seed ? (*seed)[part.gids[v]]
+                        : prog.init_data(vertex_info<P>(part, v));
+    }
+  });
   return states;
 }
 

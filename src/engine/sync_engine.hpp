@@ -13,24 +13,30 @@
 // exactly the redundancy Section 2.3 of the paper quantifies.
 //
 // Owner computes: each of the superstep's four parallel_machines phases
-// writes only the machine it runs for, and data crosses machines through
-// per-destination outboxes that the sender fills and the receiver reads
-// after the join (pack -> join -> unpack):
-//   route   replica r  -> outbox (r, master): master lvids of flagged replicas
-//   gather  master m   reads its routes into an ascending pending list, folds
-//                         mirror accumulators (cross-machine flag reads are
-//                         relaxed atomic loads) and counts the in-edge work
-//                         it causes on every machine in its own row
+// writes only the machine it runs for and reads no other machine's flags;
+// data crosses machines by value through per-destination outboxes that the
+// sender fills and the receiver reads after the join (pack -> join ->
+// unpack):
+//   route   replica r  -> outbox (r, master): (master lvid, accumulator) of
+//                         every flagged mirror, whose has_msg it retires as
+//                         it packs; a flagged master only marks itself
+//   gather  master m   marks the routed masters, folds the mirror
+//                         accumulators into its own slots (ascending r, after
+//                         the master's own slot = remote_replicas order) and
+//                         counts the in-edge work it causes on every machine
+//                         in its own row
 //   apply   master m   -> outbox (m, mirror machine): (mirror, master) lvids
-//   update  mirror r   copies vdata/payload from its masters, retires its
-//                         has_msg, then scatters its own list
+//   update  mirror r   copies vdata/payload from its masters (read-only in
+//                         this phase), then scatters every raised has_payload
+//                         flag in one ascending bit walk
 // Every fold runs in the order the serial engine used (pending ascending x
-// remote_replicas, scatter lists ascending), so data, supersteps and every
+// remote_replicas, payload flags ascending), so data, supersteps and every
 // counter are bit-identical at any cluster thread count.
 #pragma once
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -66,9 +72,9 @@ class SyncEngine {
   RunResult<P> run() {
     using Msg = typename P::Msg;
     const machine_t p = dg_.num_machines();
-    states_ = make_states(dg_, prog_, init_);
+    states_ = make_states(dg_, prog_, cluster_, init_);
     cluster_.metrics().sweep_scanned +=
-        init_eager_messages(prog_, dg_, states_, init_);
+        init_eager_messages(prog_, dg_, states_, cluster_, init_);
     recovery::Recoverer<P> recoverer(cluster_, dg_);
 
     std::vector<MachineStep> steps = make_steps();
@@ -79,17 +85,24 @@ class SyncEngine {
       ++cluster_.metrics().supersteps;
       ++result.supersteps;
 
-      // --- Route: every flagged replica names its master's lvid in the
-      // outbox towards the master's machine. All flags are consumed by
-      // gather + apply + update before the scatter re-arms the frontier, so
-      // dropping the worklist now is safe. ---
+      // --- Route: every flagged mirror ships its accumulator by value to
+      // its master's machine and retires its own flag; a flagged master only
+      // marks itself pending. All flags are consumed by gather + apply
+      // before the scatter re-arms the frontier, so dropping the worklist
+      // now is safe. ---
       cluster_.parallel_machines([&](machine_t r) {
         const partition::Part& rp = dg_.part(r);
         PartState<P>& rs = states_[r];
         MachineStep& ms = steps[r];
         for (auto& l : ms.route) l.clear();
         ms.scanned = rs.frontier.for_each_flagged(rs.has_msg, [&](lvid_t u) {
-          ms.route[rp.master[u]].push_back(rp.master_lvid[u]);
+          const machine_t m = rp.master[u];
+          if (m == r) {
+            ms.mark(u);
+            return;
+          }
+          ms.route[m].push_back({rp.master_lvid[u], rs.msg[u]});
+          rs.has_msg.reset(u);
         });
         rs.frontier.clear();
       });
@@ -100,12 +113,14 @@ class SyncEngine {
       // --- Gather: PowerGraph recomputes the accumulator of every active
       // vertex over its full in-neighbourhood — each replica walks its local
       // in-edges and every mirror ships one accumulator to the master,
-      // whether or not anything arrived locally. ---
+      // whether or not anything arrived locally. The routed accumulators
+      // are folded while the pending list is built; the wire accounting
+      // charges one per mirror. ---
       cluster_.parallel_machines([&](machine_t m) {
         const partition::Part& part = dg_.part(m);
         PartState<P>& s = states_[m];
         MachineStep& ms = steps[m];
-        ms.collect_pending(steps, m);
+        ms.collect_pending(steps, m, prog_, s);
         std::fill(ms.work_row.begin(), ms.work_row.end(), 0);
         for (auto& c : ms.coders) c.reset();
         std::uint64_t msgs = 0;
@@ -115,10 +130,6 @@ class SyncEngine {
             ms.work_row[r] += dg_.part(r).local_in_degree[rl];
             ++msgs;  // one accumulator per mirror, always
             ms.coders[r].add(part.gids[v], sizeof(Msg));
-            const PartState<P>& rs = states_[r];
-            // Raw deposit: the master flag raised here is consumed by the
-            // apply pass; the mirror's own flag is retired by its update.
-            if (rs.has_msg.load(rl)) deposit_msg_raw(prog_, s, v, rs.msg[rl]);
           }
         }
         ms.messages = msgs;
@@ -152,14 +163,14 @@ class SyncEngine {
         for (const lvid_t v : ms.pending) {
           if (!s.has_msg[v]) continue;
           const Msg acc = s.msg[v];
-          s.has_msg[v] = 0;
+          s.has_msg.reset(v);
           ++applies;
           const VertexInfo info = vertex_info<P>(part, v);
-          s.applied[v] = 1;
+          s.applied.set(v);
           const auto payload = prog_.apply(s.vdata[v], info, acc);
           if (payload) {
             s.payload[v] = *payload;
-            s.has_payload[v] = 1;
+            s.has_payload.set(v);
           }
           for (const auto& [r, rl] : part.remote_replicas[v]) {
             (payload ? ms.bcast_payload : ms.bcast)[r].push_back({rl, v});
@@ -195,39 +206,32 @@ class SyncEngine {
 
       // --- Update + scatter, per replica machine: unpack the broadcast into
       // the mirrors (masters' vdata/payload are read-only in this phase),
-      // then push along local out-edges. A replica carries a payload iff its
-      // master was pending and applied one, so the list built here covers
-      // every raised has_payload flag. ---
+      // then push along local out-edges. The raised has_payload flags are
+      // exactly the pending masters that applied a payload plus the mirrors
+      // just unpacked with one. ---
       cluster_.parallel_machines([&](machine_t r) {
         const partition::Part& part = dg_.part(r);
         PartState<P>& s = states_[r];
         MachineStep& ms = steps[r];
-        auto& list = ms.scatter;
-        list.clear();
-        for (const lvid_t v : ms.pending) {
-          if (s.has_payload[v]) list.push_back(v);
-        }
         for (machine_t m = 0; m < p; ++m) {
           const PartState<P>& src = states_[m];
           for (const auto& [rl, v] : steps[m].bcast[r]) {
-            s.has_msg[rl] = 0;
             s.vdata[rl] = src.vdata[v];
           }
           for (const auto& [rl, v] : steps[m].bcast_payload[r]) {
-            s.has_msg[rl] = 0;
             s.vdata[rl] = src.vdata[v];
             s.payload[rl] = src.payload[v];
-            s.has_payload[rl] = 1;
-            list.push_back(rl);
+            s.has_payload.set(rl);
           }
         }
-        std::sort(list.begin(), list.end());  // ascending = old scan order
-        // Serial push: deposits fold in emission order (list ascending, then
-        // out-edge order).
+        // Serial push in ascending lvid order: deposits fold in emission
+        // order (flag order, then out-edge order).
         ms.pushed = 0;
-        for (const lvid_t v : list) {
-          s.has_payload[v] = 0;
-          const VertexInfo info = vertex_info<P>(part, v);
+        const lvid_t n = part.num_local();
+        for (std::size_t v = s.has_payload.find_next(0); v < n;
+             v = s.has_payload.find_next(v + 1)) {
+          s.has_payload.reset(v);
+          const VertexInfo info = vertex_info<P>(part, static_cast<lvid_t>(v));
           for (std::uint64_t e = part.offsets[v]; e < part.offsets[v + 1];
                ++e) {
             deposit_msg(prog_, s, part.targets[e],
@@ -271,8 +275,14 @@ class SyncEngine {
   /// peer machine and read by that peer after the join. Cache-line aligned
   /// so the scalar tallies of neighbouring machines never share a line.
   struct alignas(64) MachineStep {
-    // As replica machine: master lvids routed to each master machine.
-    std::vector<std::vector<lvid_t>> route;
+    /// One mirror's accumulator, shipped by value to its master's machine.
+    struct Routed {
+      lvid_t master;
+      typename P::Msg msg;
+    };
+    // As replica machine: flagged mirrors' accumulators, per master machine
+    // (the own-machine outbox stays empty: a flagged master only marks).
+    std::vector<std::vector<Routed>> route;
     // As master: pending-master marks (private bitset) and the ascending
     // list built from them.
     std::vector<std::uint64_t> marks;
@@ -286,8 +296,6 @@ class SyncEngine {
     // ascending and lvids are dense in gid order, so each stream sees
     // strictly ascending gids.
     std::vector<wire::DeltaSizeCoder> coders;
-    // As replica machine: payload-carrying replicas to scatter.
-    std::vector<lvid_t> scatter;
     std::uint64_t scanned = 0, messages = 0, payloads = 0, wire = 0,
                   applies = 0, pushed = 0, active = 0;
 
@@ -299,17 +307,26 @@ class SyncEngine {
       bcast.assign(p, {});
       bcast_payload.assign(p, {});
       coders.assign(p, {});
-      scatter.reserve(part.num_local());
     }
 
-    /// Builds this master's ascending, duplicate-free pending list from
-    /// every machine's route outbox towards `self`.
+    void mark(lvid_t v) {
+      marks[v / Bitset::kWordBits] |= std::uint64_t{1}
+                                      << (v % Bitset::kWordBits);
+    }
+
+    /// Marks every master routed to `self` and folds the routed mirror
+    /// accumulators into its own message slots, then builds the ascending,
+    /// duplicate-free pending list. The outboxes are walked in ascending
+    /// sender order after the master's own slot, which is the order of
+    /// remote_replicas[v], so every prog.sum sees the serial operands in the
+    /// serial order.
     void collect_pending(const std::vector<MachineStep>& steps,
-                         machine_t self) {
-      for (const MachineStep& from : steps) {
-        for (const lvid_t v : from.route[self]) {
-          marks[v / Bitset::kWordBits] |= std::uint64_t{1}
-                                          << (v % Bitset::kWordBits);
+                         machine_t self, const P& prog, PartState<P>& s) {
+      for (machine_t r = 0; r < steps.size(); ++r) {
+        if (r == self) continue;
+        for (const Routed& rec : steps[r].route[self]) {
+          mark(rec.master);
+          detail::fold_owned(prog, s, s.msg, s.has_msg, rec.master, rec.msg);
         }
       }
       pending.clear();
@@ -324,8 +341,8 @@ class SyncEngine {
   };
 
   /// Every machine's superstep buffers, each outbox reserved at its hard
-  /// bound — the replicas on r whose master lives on m bound both route
-  /// (r -> m) and, for r != m, the broadcast (m -> r) — so steady-state
+  /// bound — for r != m, the replicas on r whose master lives on m bound
+  /// both the route (r -> m) and the broadcast (m -> r) — so steady-state
   /// supersteps never grow one.
   std::vector<MachineStep> make_steps() const {
     const machine_t p = dg_.num_machines();
@@ -337,8 +354,8 @@ class SyncEngine {
       std::fill(per_master.begin(), per_master.end(), 0);
       for (lvid_t u = 0; u < rp.num_local(); ++u) ++per_master[rp.master[u]];
       for (machine_t m = 0; m < p; ++m) {
-        steps[r].route[m].reserve(per_master[m]);
         if (m == r) continue;
+        steps[r].route[m].reserve(per_master[m]);
         steps[m].bcast[r].reserve(per_master[m]);
         steps[m].bcast_payload[r].reserve(per_master[m]);
       }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cmath>
 
 #include "util/rng.hpp"
@@ -88,11 +89,15 @@ struct GreedyState {
 //   4. neither placed            -> least-loaded machine overall
 machine_t greedy_place(const Edge& e, machine_t machines, GreedyState& st,
                        const std::vector<std::uint32_t>& remaining) {
+  // Walks only the candidate bits, ascending; the strict < keeps the lowest
+  // id among equally loaded machines.
   auto least_loaded_in = [&](std::uint64_t candidates) {
-    machine_t best = kInvalidMachine;
-    for (machine_t m = 0; m < machines; ++m) {
-      if (!(candidates >> m & 1)) continue;
-      if (best == kInvalidMachine || st.load[m] < st.load[best]) best = m;
+    assert(candidates != 0);
+    auto best = static_cast<machine_t>(std::countr_zero(candidates));
+    for (std::uint64_t rest = candidates & (candidates - 1); rest != 0;
+         rest &= rest - 1) {
+      const auto m = static_cast<machine_t>(std::countr_zero(rest));
+      if (st.load[m] < st.load[best]) best = m;
     }
     return best;
   };

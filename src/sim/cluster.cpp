@@ -1,6 +1,7 @@
 #include "sim/cluster.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/common.hpp"
 #include "util/threadpool.hpp"
@@ -15,6 +16,25 @@ Cluster::Cluster(const ClusterConfig& cfg)
   require(machines_ >= 1, "Cluster: need at least one machine");
 }
 
+namespace {
+
+thread_local machine_t tl_current_machine = kInvalidMachine;
+
+// Runs one machine body with current_machine() = m, restoring the previous
+// value afterwards (a body may drive a nested cluster's machines).
+void run_as(machine_t m, util::FunctionRef<void(machine_t)> body) {
+  const machine_t outer = std::exchange(tl_current_machine, m);
+  struct Restore {
+    machine_t outer;
+    ~Restore() { tl_current_machine = outer; }
+  } restore{outer};
+  body(m);
+}
+
+}  // namespace
+
+machine_t current_machine() { return tl_current_machine; }
+
 void Cluster::parallel_machines(util::FunctionRef<void(machine_t)> body) {
   if (threads_ > 1 && machines_ > 1) {
     // The pool path type-erases into std::function (and allocates control
@@ -22,11 +42,11 @@ void Cluster::parallel_machines(util::FunctionRef<void(machine_t)> body) {
     shared_pool().parallel_for_chunks(
         machines_, 1, threads_, [&](std::size_t b, std::size_t e) {
           for (std::size_t m = b; m < e; ++m) {
-            body(static_cast<machine_t>(m));
+            run_as(static_cast<machine_t>(m), body);
           }
         });
   } else {
-    for (machine_t m = 0; m < machines_; ++m) body(m);
+    for (machine_t m = 0; m < machines_; ++m) run_as(m, body);
   }
 }
 

@@ -34,6 +34,10 @@ struct ClusterConfig {
   FailurePlan failures = {};
 };
 
+/// The machine whose parallel_machines body the calling thread is running,
+/// or kInvalidMachine outside every body.
+machine_t current_machine();
+
 class Cluster {
  public:
   explicit Cluster(const ClusterConfig& cfg);
@@ -52,9 +56,12 @@ class Cluster {
   Tracer* tracer() const { return tracer_; }
 
   /// Runs body(m) for every machine m on up to `threads` threads of the
-  /// shared pool. body must only write machine-m state. Takes a FunctionRef
-  /// so the serial path (threads == 1) performs no heap allocation per call.
-  /// Machines are claimed in ascending order, one at a time.
+  /// shared pool. body must only write machine-m state; while it runs,
+  /// current_machine() on its thread returns m (serial path included), which
+  /// the engines' debug ownership checks compare against. Takes a
+  /// FunctionRef so the serial path (threads == 1) performs no heap
+  /// allocation per call. Machines are claimed in ascending order, one at a
+  /// time.
   void parallel_machines(util::FunctionRef<void(machine_t)> body);
 
   /// Charges compute time for one stage: max over machines of the given

@@ -27,6 +27,12 @@ inline void require(bool cond, const std::string& msg) {
   if (!cond) throw std::invalid_argument(msg);
 }
 
+/// Literal-message overload: a passing check builds no std::string, so
+/// hot-path checks (the wire codec's per-record validation) allocate nothing.
+inline void require(bool cond, const char* msg) {
+  if (!cond) throw std::invalid_argument(msg);
+}
+
 /// Integer ceil-division for non-negative values.
 template <class T>
 constexpr T ceil_div(T a, T b) {

@@ -23,6 +23,28 @@ TEST(Cluster, SerialModeWorks) {
   for (machine_t m = 0; m < 8; ++m) EXPECT_EQ(order[m], m);
 }
 
+// current_machine() names the running body's machine, on the serial path
+// and on the pool, is restored after a nested cluster's bodies, and is unset
+// outside every body.
+TEST(Cluster, CurrentMachineIsSetInsideBodies) {
+  EXPECT_EQ(current_machine(), kInvalidMachine);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    Cluster cl({.machines = 8, .net = {}, .threads = threads});
+    Cluster inner({.machines = 2, .net = {}, .threads = 1});
+    std::vector<machine_t> seen(8, kInvalidMachine), after(8, 0);
+    cl.parallel_machines([&](machine_t m) {
+      seen[m] = current_machine();
+      inner.parallel_machines([](machine_t) {});
+      after[m] = current_machine();
+    });
+    for (machine_t m = 0; m < 8; ++m) {
+      EXPECT_EQ(seen[m], m) << "threads " << threads;
+      EXPECT_EQ(after[m], m) << "threads " << threads;
+    }
+    EXPECT_EQ(current_machine(), kInvalidMachine);
+  }
+}
+
 TEST(Cluster, RejectsZeroMachines) {
   EXPECT_THROW(Cluster({.machines = 0}), std::invalid_argument);
 }

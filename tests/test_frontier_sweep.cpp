@@ -1,5 +1,6 @@
 // Flag bitset + frontier worklist + local sweep tests: the bitset's word walk
-// (find_next) and its plain vs atomic writes, the sparse/dense
+// (find_next) and its set/reset writes, the debug ownership check on
+// PartState deposits, the sparse/dense
 // representation switch, sweep equivalence against reference whole-array
 // scans (the historical implementation), and the scan-work reduction on
 // sparse runs.
@@ -111,33 +112,61 @@ TEST(Bitset, PoisonedTailBitsAreNeverReturned) {
   }
 }
 
-// The owner-only plain writes and the shared-phase atomic proxy leave the
-// same words behind, and count/any agree with the per-index read.
-TEST(Bitset, PlainWritesMatchAtomicProxy) {
+// Random set/reset sequences leave exactly the flags a byte-per-flag
+// reference holds, and walk/count/any agree with the per-index read.
+TEST(Bitset, SetResetMatchReferenceFlags) {
   for (const std::size_t n : {64u, 130u, 1000u}) {
     SCOPED_TRACE("n " + std::to_string(n));
-    OwnedBits plain(n), proxy(n);
+    OwnedBits f(n);
+    std::vector<std::uint8_t> ref(n, 0);
     std::mt19937 rng(static_cast<unsigned>(n));
     for (int op = 0; op < 4000; ++op) {
       const std::size_t i = rng() % n;
       const bool on = rng() % 3 != 0;
       if (on) {
-        plain.bits.set(i);
+        f.bits.set(i);
       } else {
-        plain.bits.reset(i);
+        f.bits.reset(i);
       }
-      proxy.bits[i] = on;
+      ref[i] = on ? 1 : 0;
     }
-    EXPECT_EQ(plain.words, proxy.words);
-    EXPECT_TRUE(plain.bits == proxy.bits);
-    const std::vector<std::size_t> live = plain.scan();
-    EXPECT_EQ(plain.walk(), live);
-    EXPECT_EQ(plain.bits.count(), live.size());
-    EXPECT_EQ(plain.bits.any(), !live.empty());
+    std::vector<std::size_t> want;
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(plain.bits.load(i), std::as_const(plain.bits)[i]);
+      EXPECT_EQ(f.bits[i], ref[i] != 0) << "i " << i;
+      if (ref[i]) want.push_back(i);
     }
+    EXPECT_EQ(f.scan(), want);
+    EXPECT_EQ(f.walk(), want);
+    EXPECT_EQ(f.bits.count(), want.size());
+    EXPECT_EQ(f.bits.any(), !want.empty());
   }
+}
+
+// Inside a machine body, a deposit into another machine's PartState aborts
+// in debug builds (the owner-computes contract), on the serial cluster path
+// too; deposits into the body's own state and serial code outside any body
+// are fine.
+TEST(OwnershipCheck, CrossMachineDepositAborts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "ownership asserts are compiled out of NDEBUG builds";
+#else
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Graph g = gen::erdos_renyi(64, 256, 3);
+  const auto dg = partition::DistributedGraph::build(
+      g, 2,
+      partition::assign_edges(g, 2, {partition::CutKind::kRandom, 1}));
+  const algos::SSSP prog{0};
+  sim::Cluster cl({.machines = 2, .net = {}, .threads = 1});
+  auto states = engine::make_states(dg, prog, cl);
+  cl.parallel_machines([&](machine_t m) {
+    engine::deposit_msg(prog, states[m], 0, 1.0);
+  });
+  engine::deposit_msg(prog, states[1], 0, 1.0);
+  EXPECT_DEATH(cl.parallel_machines([&](machine_t m) {
+    engine::deposit_msg(prog, states[1 - m], 0, 1.0);
+  }),
+               "another machine");
+#endif
 }
 
 // ---------------------------------------------------------------- Frontier
@@ -242,6 +271,7 @@ struct SweepRig {
   Graph g;
   partition::DistributedGraph dg;
   P prog;
+  sim::Cluster cluster{{1, {}, 1}};
   std::vector<PartState<P>> states;
 
   explicit SweepRig(Graph graph, P p = {})
@@ -251,7 +281,7 @@ struct SweepRig {
             partition::assign_edges(g, 1,
                                     {partition::CutKind::kCoordinated, 1}))),
         prog(p),
-        states(engine::make_states(dg, prog)) {}
+        states(engine::make_states(dg, prog, cluster)) {}
 
   const partition::Part& part() const { return dg.part(0); }
   PartState<P>& state() { return states[0]; }
@@ -267,7 +297,7 @@ SweepCounters reference_scan_sweep(const P& prog, const partition::Part& part,
   for (lvid_t v = 0; v < part.num_local(); ++v) {
     if (!s.has_msg[v]) continue;
     const typename P::Msg m = s.msg[v];
-    s.has_msg[v] = 0;
+    s.has_msg.reset(v);
     const engine::VertexInfo info = engine::vertex_info<P>(part, v);
     ++c.applies;
     ++c.work;
@@ -301,7 +331,7 @@ SweepCounters reference_snapshot_sweep(const P& prog,
     if (!s.has_msg[v]) continue;
     snapshot.push_back(v);
     accums.push_back(s.msg[v]);
-    s.has_msg[v] = 0;
+    s.has_msg.reset(v);
   }
   c.scanned += part.num_local();
   for (std::size_t i = 0; i < snapshot.size(); ++i) {

@@ -8,6 +8,7 @@
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "partition/partitioner.hpp"
+#include "util/rng.hpp"
 
 namespace lazygraph::partition {
 namespace {
@@ -151,6 +152,44 @@ TEST(Partitioner, MachineLoadsSumToEdgeCount) {
   for (const auto l : loads) total += l;
   EXPECT_EQ(total, g.num_edges());
 }
+
+// Golden digests of the coordinated cut on two Table 1 analogues, so a
+// faster greedy placement must reproduce every edge's machine to the bit
+// (the least-loaded tie-break included).
+struct AssignmentPin {
+  const char* name;
+  double scale;
+  std::uint64_t digest;
+};
+
+void PrintTo(const AssignmentPin& pin, std::ostream* os) { *os << pin.name; }
+
+class CoordinatedAssignmentPin
+    : public ::testing::TestWithParam<AssignmentPin> {};
+
+TEST_P(CoordinatedAssignmentPin, SixteenMachines) {
+  const AssignmentPin& pin = GetParam();
+  const Graph g =
+      datasets::make(datasets::spec_by_name(pin.name), pin.scale);
+  const Assignment a =
+      assign_edges(g, 16, {.kind = CutKind::kCoordinated, .seed = 5});
+  std::uint64_t h = mix64(a.edge_machine.size());
+  for (const machine_t m : a.edge_machine) h = mix64(h ^ m);
+  EXPECT_EQ(h, pin.digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table1, CoordinatedAssignmentPin,
+    ::testing::Values(AssignmentPin{"uk2005-like", 1.0, 17561457006337351591u},
+                      AssignmentPin{"livejournal-like", 0.25,
+                                    8954428262391277047u}),
+    [](const auto& info) {
+      std::string name = info.param.name;
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace lazygraph::partition
