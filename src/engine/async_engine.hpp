@@ -12,16 +12,17 @@
 //
 // The sweep is executed serially, which makes the run bit-deterministic; the
 // time model charges compute as if the machines ran concurrently. Each round
-// is worklist-driven: round-start activations come from the frontiers
-// (sorted ascending per machine) and in-round activations *ahead* of the
-// (machine, master lvid) cursor join via a min-heap, so the merged
-// processing order — and therefore every result bit — matches the
-// historical whole-array scan.
+// walks one active-master mark set per machine in ascending lvid order
+// (find_next, which re-reads the words): round start marks the master of
+// every flagged replica, an in-round activation *ahead* of the (machine,
+// master lvid) cursor sets its bit and joins the walk, and one at or behind
+// it stays in the frontier for the next round — the visit order, and every
+// result bit, of the historical whole-array scan.
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "engine/local_sweep.hpp"
@@ -60,9 +61,12 @@ class AsyncEngine {
 
     RunResult<P> result;
     std::vector<std::uint64_t> work(p);
-    // Per machine: masters active at round start (sorted ascending) and a
-    // min-heap of masters activated mid-round ahead of the cursor.
-    std::vector<std::vector<lvid_t>> pending(p), heaps(p);
+    // Per machine: the masters still to visit this round.
+    std::vector<OwnedBits> active;
+    active.reserve(p);
+    for (machine_t m = 0; m < p; ++m) {
+      active.emplace_back(dg_.part(m).num_local());
+    }
 
     for (std::uint64_t round = 0; round < cfg_.max_supersteps; ++round) {
       ++cluster_.metrics().supersteps;
@@ -74,52 +78,30 @@ class AsyncEngine {
       std::uint64_t msgs = 0, bytes = 0, wire = 0, applies = 0;
       std::fill(work.begin(), work.end(), 0);
 
-      // Round-start worklists: every flagged replica routes its master's
-      // coordinates. Behind-the-cursor activations of the *previous* round
-      // left their flags up, so they surface here.
-      for (auto& l : pending) l.clear();
+      // Round start: every flagged replica marks its master. Behind-the-
+      // cursor activations of the *previous* round left their flags up, so
+      // they surface here.
       for (machine_t r = 0; r < p; ++r) {
         const partition::Part& rp = dg_.part(r);
         PartState<P>& rs = states_[r];
         cluster_.metrics().sweep_scanned +=
             rs.frontier.for_each_flagged(rs.has_msg, [&](lvid_t u) {
-              pending[rp.master[u]].push_back(rp.master_lvid[u]);
+              active[rp.master[u]].set(rp.master_lvid[u]);
             });
         rs.frontier.clear();
-      }
-      for (auto& l : pending) {
-        std::sort(l.begin(), l.end());
-        l.erase(std::unique(l.begin(), l.end()), l.end());
       }
 
       for (machine_t m = 0; m < p; ++m) {
         const partition::Part& part = dg_.part(m);
         PartState<P>& s = states_[m];
-        auto& pend = pending[m];
-        auto& heap = heaps[m];
-        std::size_t next = 0;
-        bool have_last = false;
-        lvid_t last = 0;
-        // Merge the static round-start list with the in-round heap; both
-        // produce ascending lvids, so the merged cursor is monotone and
-        // duplicate entries (several mirrors of one vertex activating) pop
-        // adjacently — dedup by comparing with the previous pop.
-        while (next < pend.size() || !heap.empty()) {
-          lvid_t v;
-          if (next < pend.size() &&
-              (heap.empty() || pend[next] <= heap.front())) {
-            v = pend[next++];
-          } else {
-            std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-            v = heap.back();
-            heap.pop_back();
-          }
-          if (have_last && v == last) continue;  // duplicate entry
-          last = v;
-          have_last = true;
+        OwnedBits& act = active[m];
+        for (std::size_t i = act.find_next(0); i < act.size();
+             i = act.find_next(i + 1)) {
+          act.reset(i);
+          const lvid_t v = static_cast<lvid_t>(i);
 
-          // Eager gather: is the vertex active anywhere? (Stale entries —
-          // flags consumed since enqueueing — drop out here.)
+          // Eager gather: is the vertex active anywhere? (Stale marks —
+          // flags consumed since marking — drop out here.)
           bool have = s.has_msg[v];
           for (const auto& [r, rl] : part.remote_replicas[v]) {
             have = have || states_[r].has_msg[rl];
@@ -168,9 +150,9 @@ class AsyncEngine {
 
           // Scatter on every replica along its local out-edges, with
           // immediate visibility to later vertices in this round: a fresh
-          // activation strictly ahead of the (m, v) cursor joins its master
-          // machine's heap; at-or-behind ones stay in the frontier for the
-          // next round's derivation — exactly what a scan cursor would see.
+          // activation strictly ahead of the (m, v) cursor marks its master;
+          // at-or-behind ones stay in the frontier for the next round's
+          // marking — exactly what a scan cursor would see.
           auto scatter_at = [&](machine_t rm, lvid_t rv) {
             const partition::Part& rpart = dg_.part(rm);
             PartState<P>& rs = states_[rm];
@@ -182,11 +164,7 @@ class AsyncEngine {
                                             rpart.weights[e]))) {
                 const machine_t mm = rpart.master[u];
                 const lvid_t ml = rpart.master_lvid[u];
-                if (mm > m || (mm == m && ml > v)) {
-                  auto& h = heaps[mm];
-                  h.push_back(ml);
-                  std::push_heap(h.begin(), h.end(), std::greater<>{});
-                }
+                if (mm > m || (mm == m && ml > v)) active[mm].set(ml);
               }
               ++work[rm];
             }
@@ -196,6 +174,7 @@ class AsyncEngine {
             scatter_at(r, rl);
           }
         }
+        assert(!act.any() && "AsyncEngine: round left a master marked");
       }
 
       cluster_.metrics().applies += applies;

@@ -1,10 +1,10 @@
-// Packed bitset view over slab-owned words — the storage for PartState's
-// has_msg/has_delta/has_payload/applied flags (Galois-style flag ops).
+// Packed flag bitsets (Galois-style flag ops). Bitset is a view over words
+// it does not own: PartState carves `words_for(n)` 64-bit words per flag set
+// (has_msg/has_delta/has_payload/applied) out of its slab and attach()es
+// views. OwnedBits owns its words: every engine's per-machine mark set, the
+// one form of "visit each marked master once, in ascending lvid order".
 //
-// The bitset does not own memory: PartState carves `words_for(n)` 64-bit
-// words per flag set out of its slab and attach()es views.
-//
-// Write contract: set(i)/reset(i) are the only writes, each a plain
+// Write contract: set(i)/reset(i)/drain() are the only writes, each a plain
 // read-modify-write of the containing word. Every engine phase is
 // owner-computes (the writing machine is the only one touching its words
 // until the next fork/join barrier; cross-machine data moves by value
@@ -14,15 +14,17 @@
 // loop), which gives happens-before.
 //
 // count() is a word-wise popcount — this is what makes count_msgs() O(n/64)
-// instead of the old O(n) byte scan — and find_next() walks the words with
-// countr_zero, which is how the sweeps visit flagged vertices in ascending
-// order without a worklist. Both mask the tail word, so stray bits past
-// size() (e.g. from poisoning) never surface.
+// instead of the old O(n) byte scan. The two ascending walks, find_next()
+// (re-reads words: a bit set ahead of the cursor joins the walk) and drain()
+// (zeroes each word as it takes it), use countr_zero. All reads mask the
+// tail word, so stray bits past size() (e.g. from poisoning) never surface.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 namespace lazygraph::engine {
 
@@ -75,10 +77,7 @@ class Bitset {
     if (nw == 0) return 0;
     std::uint64_t c = 0;
     for (std::size_t w = 0; w + 1 < nw; ++w) c += std::popcount(words_[w]);
-    const std::size_t tail = nbits_ % kWordBits;
-    const std::uint64_t mask =
-        tail == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << tail) - 1;
-    return c + std::popcount(words_[nw - 1] & mask);
+    return c + std::popcount(words_[nw - 1] & tail_mask());
   }
 
   bool any() const {
@@ -86,10 +85,22 @@ class Bitset {
     if (nw == 0) return false;
     for (std::size_t w = 0; w + 1 < nw; ++w)
       if (words_[w] != 0) return true;
-    const std::size_t tail = nbits_ % kWordBits;
-    const std::uint64_t mask =
-        tail == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << tail) - 1;
-    return (words_[nw - 1] & mask) != 0;
+    return (words_[nw - 1] & tail_mask()) != 0;
+  }
+
+  /// Calls fn(i) for every flagged i, ascending, and leaves the set empty.
+  /// Each word is zeroed before its bits are visited, so fn must not set
+  /// bits here (one set in a word already taken would be missed).
+  template <class Fn>
+  void drain(Fn&& fn) {
+    const std::size_t nw = words_for(nbits_);
+    for (std::size_t w = 0; w < nw; ++w) {
+      std::uint64_t bits = std::exchange(words_[w], 0);
+      if (w + 1 == nw) bits &= tail_mask();
+      for (; bits != 0; bits &= bits - 1) {
+        fn(w * kWordBits + std::countr_zero(bits));
+      }
+    }
   }
 
   friend bool operator==(const Bitset& a, const Bitset& b) {
@@ -104,8 +115,38 @@ class Bitset {
     return std::uint64_t{1} << (i % kWordBits);
   }
 
+  /// The live bits of the last word.
+  std::uint64_t tail_mask() const {
+    const std::size_t tail = nbits_ % kWordBits;
+    return tail == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << tail) - 1;
+  }
+
   std::uint64_t* words_ = nullptr;
   std::size_t nbits_ = 0;
+};
+
+/// `n` owned bits, all clear, behind the Bitset view. Movable (a moved
+/// vector keeps its buffer, so the view stays valid; the source is left
+/// empty) but not copyable, so two sets never share words.
+class OwnedBits : public Bitset {
+ public:
+  OwnedBits() = default;
+  explicit OwnedBits(std::size_t n) : words_(words_for(n), 0) {
+    Bitset::attach(words_.data(), n);
+  }
+  OwnedBits(OwnedBits&& o) noexcept { *this = std::move(o); }
+  OwnedBits& operator=(OwnedBits&& o) noexcept {
+    Bitset::operator=(std::exchange<Bitset>(o, {}));
+    words_ = std::move(o.words_);
+    return *this;
+  }
+  OwnedBits(const OwnedBits&) = delete;
+  OwnedBits& operator=(const OwnedBits&) = delete;
+
+ private:
+  using Bitset::attach;  // the view always covers words_
+
+  std::vector<std::uint64_t> words_;
 };
 
 }  // namespace lazygraph::engine

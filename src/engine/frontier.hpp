@@ -12,7 +12,8 @@
 // threshold+1 flips dense (and is recorded only in the flags, like every
 // activation after it). `clear()` (called when a sweep fully consumes the
 // frontier) resets to sparse. Dense consumers walk the flag words
-// (Bitset::find_next) rather than testing every slot.
+// (Bitset::find_next) rather than testing every slot. A frontier nobody
+// consumes (lazy-vertex's message frontier) just saturates to dense.
 //
 // Invariants the engines maintain:
 //   - flag set  =>  the lvid is in the sparse list, or the frontier is dense
@@ -36,9 +37,8 @@ namespace lazygraph::engine {
 
 class Frontier {
  public:
-  /// Re-arms the frontier for a vertex set of size `n`: sparse, tracking,
-  /// empty. The density threshold scales with n (but stays useful for tiny
-  /// parts).
+  /// Re-arms the frontier for a vertex set of size `n`: sparse and empty.
+  /// The density threshold scales with n (but stays useful for tiny parts).
   void reset(lvid_t n) {
     n_ = n;
     threshold_ = std::max<std::size_t>(64, static_cast<std::size_t>(n) / 8);
@@ -47,23 +47,10 @@ class Frontier {
     // instead), so this one reserve makes every later add allocation-free.
     list_.reserve(threshold_);
     dense_ = false;
-    tracking_ = true;
   }
 
   /// Hard capacity bound of the sparse list (the density threshold).
   std::size_t sparse_capacity() const { return threshold_; }
-
-  /// Turns activation tracking off (and drops any recorded state): engines
-  /// with their own worklists (LazyVertexAsync's queues) disable the message
-  /// frontier so its list cannot grow unboundedly between consumers.
-  void set_tracking(bool on) {
-    tracking_ = on;
-    if (!on) {
-      list_.clear();
-      dense_ = false;
-    }
-  }
-  bool tracking() const { return tracking_; }
 
   bool is_dense() const { return dense_; }
 
@@ -73,7 +60,7 @@ class Frontier {
   /// dense — that activation and all later ones are carried by the flags
   /// alone from then on.
   void activate(lvid_t v) {
-    if (!tracking_ || dense_) return;
+    if (dense_) return;
     if (list_.size() >= threshold_) {
       dense_ = true;
       list_.clear();
@@ -110,7 +97,7 @@ class Frontier {
   /// the entry count when sparse.
   template <class Fn>
   std::size_t for_each_flagged(const Bitset& flags, Fn&& fn) const {
-    if (dense_ || !tracking_) {
+    if (dense_) {
       for (std::size_t v = flags.find_next(0); v < n_;
            v = flags.find_next(v + 1)) {
         fn(static_cast<lvid_t>(v));
@@ -127,7 +114,6 @@ class Frontier {
   lvid_t n_ = 0;
   std::size_t threshold_ = 64;
   bool dense_ = false;
-  bool tracking_ = true;
   std::vector<lvid_t> list_;
 };
 

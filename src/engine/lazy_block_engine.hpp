@@ -223,9 +223,8 @@ class LazyBlockAsyncEngine {
     // mask means "not yet folded this exchange"; the walk re-zeroes it.
     std::vector<typename P::Msg> acc;
     std::vector<std::uint64_t> contributors;
-    // As coordinator: the masters folded this exchange, one bit per lvid,
-    // walked ascending and cleared word by word.
-    std::vector<std::uint64_t> marks;
+    // As coordinator: the masters folded this exchange, drained ascending.
+    OwnedBits marks;
     // As coordinator: deliveries for each replica machine.
     std::vector<std::vector<Delivery>> outbox;
     // As coordinator: wire-codec streams towards each peer, for both
@@ -252,14 +251,14 @@ class LazyBlockAsyncEngine {
   /// bound both the bucket (r -> m) and the outbox (m -> r).
   void reserve_exchange_scratch() {
     const machine_t p = dg_.num_machines();
-    exch_.assign(p, {});
+    exch_ = std::vector<MachineExchange>(p);
     for (machine_t m = 0; m < p; ++m) {
       MachineExchange& x = exch_[m];
       const lvid_t n = dg_.part(m).num_local();
       x.bucket.assign(p, {});
       x.acc.assign(n, {});
       x.contributors.assign(n, 0);
-      x.marks.assign(Bitset::words_for(n), 0);
+      x.marks = OwnedBits(n);
       x.outbox.assign(p, {});
       x.a2a.assign(p, {});
       x.up.assign(p, {});
@@ -352,8 +351,7 @@ class LazyBlockAsyncEngine {
         for (const auto& [v, d] : exch_[r].bucket[m]) {
           std::uint64_t& c = x.contributors[v];
           if (c == 0) {
-            x.marks[v / Bitset::kWordBits] |= std::uint64_t{1}
-                                              << (v % Bitset::kWordBits);
+            x.marks.set(v);
             m2m_records += part.num_replicas(v) - 2;
             x.acc[v] = d;
           } else {
@@ -374,46 +372,43 @@ class LazyBlockAsyncEngine {
 #ifndef NDEBUG
       x.check_a2a = x.check_m2m = 0;
 #endif
-      for (std::size_t w = 0; w < x.marks.size(); ++w) {
-        for (std::uint64_t bits = std::exchange(x.marks[w], 0); bits != 0;
-             bits &= bits - 1) {
-          const lvid_t v = static_cast<lvid_t>(w * Bitset::kWordBits +
-                                               std::countr_zero(bits));
-          const std::uint64_t c = std::exchange(x.contributors[v], 0);
-          const std::uint32_t nd = std::popcount(c);
-          const std::uint32_t rnum = part.num_replicas(v);
-          const vid_t gid_v = part.gids[v];
-          const bool master_contributed = (c >> m) & 1;
+      x.marks.drain([&](std::size_t i) {
+        const lvid_t v = static_cast<lvid_t>(i);
+        const std::uint64_t c = std::exchange(x.contributors[v], 0);
+        const std::uint32_t nd = std::popcount(c);
+        const std::uint32_t rnum = part.num_replicas(v);
+        const vid_t gid_v = part.gids[v];
+        const bool master_contributed = (c >> m) & 1;
 
-          // Codec records: the streams' gids ascend because v does. a2a
-          // relays each contributor's record to all rnum-1 other replicas;
-          // m2m ships one record up per contributing mirror and one down
-          // per mirror. Frame headers are charged once per non-empty stream.
-          for (std::uint64_t cb = c; cb != 0; cb &= cb - 1) {
-            const machine_t rm = static_cast<machine_t>(std::countr_zero(cb));
-            x.a2a[rm].add(gid_v, kRecord, rnum - 1);
-            if (rm != m) x.up[rm].add(gid_v, kRecord);
-          }
-          msgs_a2a += std::uint64_t{nd} * (rnum - 1);
-          msgs_m2m += nd - master_contributed + (rnum - 1);
+        // Codec records: the streams' gids ascend because v does. a2a
+        // relays each contributor's record to all rnum-1 other replicas;
+        // m2m ships one record up per contributing mirror and one down
+        // per mirror. Frame headers are charged once per non-empty stream.
+        for (std::uint64_t cb = c; cb != 0; cb &= cb - 1) {
+          const machine_t rm = static_cast<machine_t>(std::countr_zero(cb));
+          x.a2a[rm].add(gid_v, kRecord, rnum - 1);
+          if (rm != m) x.up[rm].add(gid_v, kRecord);
+        }
+        msgs_a2a += std::uint64_t{nd} * (rnum - 1);
+        msgs_m2m += nd - master_contributed + (rnum - 1);
 #ifndef NDEBUG
-          x.check_a2a += std::uint64_t{nd} * (rnum - 1) * kDeltaBytes;
-          x.check_m2m += (std::uint64_t{nd} + rnum - 2) * kDeltaBytes;
+        x.check_a2a += std::uint64_t{nd} * (rnum - 1) * kDeltaBytes;
+        x.check_m2m += (std::uint64_t{nd} + rnum - 2) * kDeltaBytes;
 #endif
 
-          // Deliver "others' deltas": a sole contributor has none.
-          const auto deliver = [&](machine_t r, lvid_t rv) {
-            const bool own = (c >> r) & 1;
-            if (own && nd == 1) return;
-            x.outbox[r].push_back({rv, own, x.acc[v]});
-          };
-          deliver(m, v);
-          for (const auto& [r, rl] : part.remote_replicas[v]) {
-            x.down[r].add(gid_v, kRecord);
-            deliver(r, rl);
-          }
+        // Deliver "others' deltas": a sole contributor has none.
+        const auto deliver = [&](machine_t r, lvid_t rv) {
+          const bool own = (c >> r) & 1;
+          if (own && nd == 1) return;
+          x.outbox[r].push_back({rv, own, x.acc[v]});
+        };
+        deliver(m, v);
+        for (const auto& [r, rl] : part.remote_replicas[v]) {
+          x.down[r].add(gid_v, kRecord);
+          deliver(r, rl);
         }
-      }
+      });
+      assert(!x.marks.any() && "exchange_deltas: coordinate left a mark");
       x.msgs_a2a = msgs_a2a;
       x.msgs_m2m = msgs_m2m;
     });

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <deque>
@@ -51,20 +52,17 @@ class LazyVertexAsyncEngine {
         init_lazy_messages(prog_, dg_, states_, cluster_, init_);
 
     queues_.assign(p, {});
-    in_queue_.resize(p);
+    in_queue_.clear();
     applies_since_.resize(p);
-    flush_pending_.assign(p, {});
+    flush_marks_.clear();
     for (machine_t m = 0; m < p; ++m) {
       const lvid_t n = dg_.part(m).num_local();
-      in_queue_[m].assign(n, 0);
+      in_queue_.emplace_back(n);
+      flush_marks_.emplace_back(n);
       applies_since_[m].assign(n, 0);
       for (lvid_t v = 0; v < n; ++v) {
         if (states_[m].has_msg[v]) enqueue(m, v);
       }
-      // The queues are this engine's activation worklist; turn message
-      // frontier tracking off so its (never-consumed) list cannot grow
-      // unboundedly. The delta frontiers stay on — they drive the flush.
-      states_[m].frontier.set_tracking(false);
     }
 
     // This engine keeps activation state outside PartState (the queues and
@@ -94,7 +92,7 @@ class LazyVertexAsyncEngine {
         while (budget-- > 0) {
           const lvid_t v = queues_[m].front();
           queues_[m].pop_front();
-          in_queue_[m][v] = 0;
+          in_queue_[m].reset(v);
           any |= step_vertex(m, v, work);
         }
       }
@@ -136,7 +134,7 @@ class LazyVertexAsyncEngine {
  private:
   void enqueue(machine_t m, lvid_t v) {
     if (!in_queue_[m][v]) {
-      in_queue_[m][v] = 1;
+      in_queue_[m].set(v);
       queues_[m].push_back(v);
     }
   }
@@ -238,21 +236,21 @@ class LazyVertexAsyncEngine {
   }
 
   /// Flushes every vertex with an outstanding delta (master-driven so each
-  /// vertex is visited once), found through the delta frontiers instead of
-  /// scanning every replica. Unlike the historical full scan, masters with
-  /// no outstanding delta anywhere are not visited, so their staleness
+  /// vertex is visited once, in ascending lvid order per machine): every
+  /// flagged delta on the delta frontiers marks its master, and each
+  /// machine's marks are drained. Unlike the historical full scan, masters
+  /// with no outstanding delta anywhere are not visited, so their staleness
   /// counters are not reset at a flush — a deterministic schedule change
   /// with the same termination condition (flushes deliver exactly the
   /// outstanding deltas either way). Returns whether anything was delivered.
   bool flush_all_deltas(std::vector<std::uint64_t>& work) {
     const machine_t p = dg_.num_machines();
-    for (auto& l : flush_pending_) l.clear();
     for (machine_t r = 0; r < p; ++r) {
       const partition::Part& rp = dg_.part(r);
       PartState<P>& rs = states_[r];
       cluster_.metrics().sweep_scanned +=
           rs.delta_frontier.for_each_flagged(rs.has_delta, [&](lvid_t u) {
-            flush_pending_[rp.master[u]].push_back(rp.master_lvid[u]);
+            flush_marks_[rp.master[u]].set(rp.master_lvid[u]);
           });
       // Every flagged delta below is cleared by its coherency event, so the
       // worklist can be dropped now.
@@ -261,13 +259,12 @@ class LazyVertexAsyncEngine {
     bool delivered = false;
     for (machine_t m = 0; m < p; ++m) {
       const partition::Part& part = dg_.part(m);
-      auto& l = flush_pending_[m];
-      std::sort(l.begin(), l.end());
-      l.erase(std::unique(l.begin(), l.end()), l.end());
-      for (const lvid_t v : l) {
-        if (part.num_replicas(v) <= 1) continue;
+      flush_marks_[m].drain([&](std::size_t i) {
+        const lvid_t v = static_cast<lvid_t>(i);
+        if (part.num_replicas(v) <= 1) return;
         delivered |= coherency_event(m, v, work);
-      }
+      });
+      assert(!flush_marks_[m].any() && "flush left a master marked");
     }
     return delivered;
   }
@@ -301,13 +298,13 @@ class LazyVertexAsyncEngine {
     std::memcpy(&count, in, sizeof(count));
     in += sizeof(count);
     queues_[m].clear();
-    std::fill(in_queue_[m].begin(), in_queue_[m].end(), 0);
+    in_queue_[m] = OwnedBits(dg_.part(m).num_local());
     for (std::uint64_t i = 0; i < count; ++i) {
       lvid_t v;
       std::memcpy(&v, in, sizeof(v));
       in += sizeof(v);
       queues_[m].push_back(v);
-      in_queue_[m][v] = 1;
+      in_queue_[m].set(v);
     }
     if (!applies_since_[m].empty()) {
       std::memcpy(applies_since_[m].data(), in,
@@ -322,9 +319,9 @@ class LazyVertexAsyncEngine {
   const InitInjection* init_;
   std::vector<PartState<P>> states_;
   std::vector<std::deque<lvid_t>> queues_;
-  std::vector<std::vector<std::uint8_t>> in_queue_;
+  // Per machine: queue membership, and the masters marked for a flush.
+  std::vector<OwnedBits> in_queue_, flush_marks_;
   std::vector<std::vector<std::uint32_t>> applies_since_;
-  std::vector<std::vector<lvid_t>> flush_pending_;
   CoherencyInspector<P> inspector_;
   std::uint64_t msgs_ = 0, bytes_ = 0, wire_ = 0;
 };

@@ -203,7 +203,7 @@ SweepCounters sweep_gauss_seidel(const P& prog, const partition::Part& part,
   };
 
   std::size_t v = s.has_msg.find_next(0);
-  if (s.frontier.is_dense() || !s.frontier.tracking()) {
+  if (s.frontier.is_dense()) {
     // Dense: the flags are the frontier. Behind-deposits leave their flags up
     // for the next sweep, so the frontier stays dense (invariant intact).
     c.scanned += n;

@@ -25,17 +25,18 @@
 //                         the master's own slot = remote_replicas order) and
 //                         counts the in-edge work it causes on every machine
 //                         in its own row
-//   apply   master m   -> outbox (m, mirror machine): (mirror, master) lvids
+//   apply   master m   drains its marks ascending -> outbox (m, mirror
+//                         machine): (mirror, master) lvids
 //   update  mirror r   copies vdata/payload from its masters (read-only in
 //                         this phase), then scatters every raised has_payload
 //                         flag in one ascending bit walk
-// Every fold runs in the order the serial engine used (pending ascending x
-// remote_replicas, payload flags ascending), so data, supersteps and every
-// counter are bit-identical at any cluster thread count.
+// Every fold runs in the order the serial engine used (marked masters
+// ascending x remote_replicas, payload flags ascending), so data, supersteps
+// and every counter are bit-identical at any cluster thread count.
 #pragma once
 
 #include <algorithm>
-#include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -98,7 +99,7 @@ class SyncEngine {
         ms.scanned = rs.frontier.for_each_flagged(rs.has_msg, [&](lvid_t u) {
           const machine_t m = rp.master[u];
           if (m == r) {
-            ms.mark(u);
+            ms.marks.set(u);
             return;
           }
           ms.route[m].push_back({rp.master_lvid[u], rs.msg[u]});
@@ -114,8 +115,8 @@ class SyncEngine {
       // vertex over its full in-neighbourhood — each replica walks its local
       // in-edges and every mirror ships one accumulator to the master,
       // whether or not anything arrived locally. The routed accumulators
-      // are folded while the pending list is built; the wire accounting
-      // charges one per mirror. ---
+      // are folded as their masters are marked; the wire accounting charges
+      // one per mirror. ---
       cluster_.parallel_machines([&](machine_t m) {
         const partition::Part& part = dg_.part(m);
         PartState<P>& s = states_[m];
@@ -124,7 +125,8 @@ class SyncEngine {
         std::fill(ms.work_row.begin(), ms.work_row.end(), 0);
         for (auto& c : ms.coders) c.reset();
         std::uint64_t msgs = 0;
-        for (const lvid_t v : ms.pending) {
+        for (std::size_t v = ms.marks.find_next(0); v < ms.marks.size();
+             v = ms.marks.find_next(v + 1)) {
           ms.work_row[m] += part.local_in_degree[v];
           for (const auto& [r, rl] : part.remote_replicas[v]) {
             ms.work_row[r] += dg_.part(r).local_in_degree[rl];
@@ -160,8 +162,9 @@ class SyncEngine {
         for (auto& b : ms.bcast_payload) b.clear();
         for (auto& c : ms.coders) c.reset();
         std::uint64_t msgs = 0, payloads = 0, applies = 0;
-        for (const lvid_t v : ms.pending) {
-          if (!s.has_msg[v]) continue;
+        ms.marks.drain([&](std::size_t i) {
+          const lvid_t v = static_cast<lvid_t>(i);
+          if (!s.has_msg[v]) return;
           const Msg acc = s.msg[v];
           s.has_msg.reset(v);
           ++applies;
@@ -181,7 +184,8 @@ class SyncEngine {
                     (payload ? sizeof(typename P::Scatter) : 0));
             if (payload) ++payloads;
           }
-        }
+        });
+        assert(!ms.marks.any() && "SyncEngine: apply left a master marked");
         ms.applies = applies;
         ms.messages = msgs;
         ms.payloads = payloads;
@@ -283,58 +287,41 @@ class SyncEngine {
     // As replica machine: flagged mirrors' accumulators, per master machine
     // (the own-machine outbox stays empty: a flagged master only marks).
     std::vector<std::vector<Routed>> route;
-    // As master: pending-master marks (private bitset) and the ascending
-    // list built from them.
-    std::vector<std::uint64_t> marks;
-    std::vector<lvid_t> pending;
+    // As master: the pending masters, walked by gather and drained by apply.
+    OwnedBits marks;
     // As master: gather edge work caused on each machine.
     std::vector<std::uint64_t> work_row;
     // As master: (mirror lvid, master lvid) per mirror machine, split by
     // whether the apply produced a scatter payload.
     std::vector<std::vector<std::pair<lvid_t, lvid_t>>> bcast, bcast_payload;
-    // Wire-size accounting, one stream per destination machine: pending is
-    // ascending and lvids are dense in gid order, so each stream sees
-    // strictly ascending gids.
+    // Wire-size accounting, one stream per destination machine: the marks
+    // are walked ascending and lvids are dense in gid order, so each stream
+    // sees strictly ascending gids.
     std::vector<wire::DeltaSizeCoder> coders;
     std::uint64_t scanned = 0, messages = 0, payloads = 0, wire = 0,
                   applies = 0, pushed = 0, active = 0;
 
     void init(const partition::Part& part, machine_t p) {
       route.assign(p, {});
-      marks.assign(Bitset::words_for(part.num_local()), 0);
-      pending.reserve(part.num_local());
+      marks = OwnedBits(part.num_local());
       work_row.assign(p, 0);
       bcast.assign(p, {});
       bcast_payload.assign(p, {});
       coders.assign(p, {});
     }
 
-    void mark(lvid_t v) {
-      marks[v / Bitset::kWordBits] |= std::uint64_t{1}
-                                      << (v % Bitset::kWordBits);
-    }
-
     /// Marks every master routed to `self` and folds the routed mirror
-    /// accumulators into its own message slots, then builds the ascending,
-    /// duplicate-free pending list. The outboxes are walked in ascending
-    /// sender order after the master's own slot, which is the order of
-    /// remote_replicas[v], so every prog.sum sees the serial operands in the
-    /// serial order.
+    /// accumulators into its own message slots. The outboxes are walked in
+    /// ascending sender order after the master's own slot, which is the
+    /// order of remote_replicas[v], so every prog.sum sees the serial
+    /// operands in the serial order.
     void collect_pending(const std::vector<MachineStep>& steps,
                          machine_t self, const P& prog, PartState<P>& s) {
       for (machine_t r = 0; r < steps.size(); ++r) {
         if (r == self) continue;
         for (const Routed& rec : steps[r].route[self]) {
-          mark(rec.master);
+          marks.set(rec.master);
           detail::fold_owned(prog, s, s.msg, s.has_msg, rec.master, rec.msg);
-        }
-      }
-      pending.clear();
-      for (std::size_t w = 0; w < marks.size(); ++w) {
-        for (std::uint64_t bits = std::exchange(marks[w], 0); bits != 0;
-             bits &= bits - 1) {
-          pending.push_back(static_cast<lvid_t>(
-              w * Bitset::kWordBits + std::countr_zero(bits)));
         }
       }
     }

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "util/rng.hpp"
 #include "util/threadpool.hpp"
@@ -19,6 +20,14 @@ const char* to_string(CutKind kind) {
     case CutKind::kHybrid: return "hybrid";
   }
   return "?";
+}
+
+CutKind cut_kind_from_string(const std::string& s) {
+  for (CutKind k : {CutKind::kRandom, CutKind::kGrid, CutKind::kCoordinated,
+                    CutKind::kOblivious, CutKind::kHybrid}) {
+    if (s == to_string(k)) return k;
+  }
+  throw std::invalid_argument("unknown cut: " + s);
 }
 
 namespace {

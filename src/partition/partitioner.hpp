@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -22,6 +23,9 @@ enum class CutKind {
 };
 
 const char* to_string(CutKind kind);
+/// Inverse of to_string(CutKind); throws std::invalid_argument naming any
+/// other string.
+CutKind cut_kind_from_string(const std::string& s);
 
 struct PartitionOptions {
   CutKind kind = CutKind::kCoordinated;

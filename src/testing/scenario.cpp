@@ -38,15 +38,6 @@ ProgramKind program_kind_from_string(const std::string& s) {
 
 namespace {
 
-partition::CutKind cut_from_string(const std::string& s) {
-  using partition::CutKind;
-  for (CutKind k : {CutKind::kRandom, CutKind::kGrid, CutKind::kCoordinated,
-                    CutKind::kOblivious, CutKind::kHybrid}) {
-    if (s == partition::to_string(k)) return k;
-  }
-  throw std::invalid_argument("unknown cut kind: " + s);
-}
-
 engine::IntervalPolicy interval_from_string(const std::string& s) {
   using engine::IntervalPolicy;
   for (IntervalPolicy p : {IntervalPolicy::kAdaptive, IntervalPolicy::kAlwaysLazy,
@@ -210,7 +201,7 @@ Scenario Scenario::from_text(std::istream& is) {
   s.seed = std::stoull(expect_key("seed"));
   s.num_vertices = static_cast<vid_t>(std::stoul(expect_key("vertices")));
   s.machines = static_cast<machine_t>(std::stoul(expect_key("machines")));
-  s.cut = cut_from_string(expect_key("cut"));
+  s.cut = partition::cut_kind_from_string(expect_key("cut"));
   s.partition_seed = std::stoull(expect_key("partition_seed"));
   s.split = expect_key("split") != "0";
   s.program = program_kind_from_string(expect_key("program"));

@@ -103,7 +103,10 @@ bool Options::get_bool(const std::string& key, bool def) const {
   if (it == kv_.end()) return def;
   if (!it->second) return true;
   const std::string& v = *it->second;
-  return v == "true" || v == "1" || v == "yes";
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  throw OptionError("--" + key +
+                    ": expected true/false/1/0/yes/no, got '" + v + "'");
 }
 
 }  // namespace lazygraph

@@ -3,10 +3,10 @@
 // which reject_unknown refuses (so `--algo sssp` cannot silently mean a bare
 // --algo plus a stray "sssp").
 // A bare --flag is present with no value: get/get_int/get_double return
-// their default for it, get_bool returns true. A value get_int/get_double
-// cannot parse completely, or that falls outside the accepted range, throws
-// OptionError naming the flag (tools turn it into a non-zero exit), as does
-// a flag outside the tool's accepted list (reject_unknown).
+// their default for it, get_bool returns true. A value get_int/get_double/
+// get_bool cannot parse completely, or that falls outside the accepted
+// range, throws OptionError naming the flag (tools turn it into a non-zero
+// exit), as does a flag outside the tool's accepted list (reject_unknown).
 #pragma once
 
 #include <cstdint>
@@ -41,6 +41,8 @@ class Options {
       std::int64_t hi = std::numeric_limits<std::int64_t>::max()) const;
   /// The whole value as a finite double; `def` when absent.
   double get_double(const std::string& key, double def) const;
+  /// true/1/yes or a bare flag is true, false/0/no is false; `def` when
+  /// absent.
   bool get_bool(const std::string& key, bool def) const;
   /// Throws OptionError naming the first positional argument, or else the
   /// first given flag not in `accepted` (flag names without the leading

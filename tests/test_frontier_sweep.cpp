@@ -1,13 +1,15 @@
-// Flag bitset + frontier worklist + local sweep tests: the bitset's word walk
-// (find_next) and its set/reset writes, the debug ownership check on
-// PartState deposits, the sparse/dense
+// Flag bitset + frontier worklist + local sweep tests: the bitset's word
+// walks (find_next, drain), its set/reset writes and the owned mark set's
+// moves, the debug ownership check on PartState deposits, the sparse/dense
 // representation switch, sweep equivalence against reference whole-array
 // scans (the historical implementation), and the scan-work reduction on
 // sparse runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -18,51 +20,45 @@ namespace {
 
 using engine::Bitset;
 using engine::Frontier;
+using engine::OwnedBits;
 using engine::PartState;
 using engine::SweepCounters;
 using engine::SweepMode;
 
-/// A standalone flag set: owned words behind a Bitset view.
-struct OwnedBits {
-  std::vector<std::uint64_t> words;
-  Bitset bits;
-
-  explicit OwnedBits(std::size_t n, std::uint64_t fill = 0)
-      : words(Bitset::words_for(n), fill) {
-    bits.attach(words.data(), n);
+/// Every flagged index, by the per-index read.
+std::vector<std::size_t> scan(const Bitset& b) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    if (b[i]) out.push_back(i);
   }
-  OwnedBits(const OwnedBits&) = delete;
-  OwnedBits& operator=(const OwnedBits&) = delete;
+  return out;
+}
 
-  /// Every flagged index, by the per-index read.
-  std::vector<std::size_t> scan() const {
-    std::vector<std::size_t> out;
-    const Bitset& b = bits;
-    for (std::size_t i = 0; i < b.size(); ++i) {
-      if (b[i]) out.push_back(i);
-    }
-    return out;
+/// Every flagged index, by the find_next word walk.
+std::vector<std::size_t> walk(const Bitset& b) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = b.find_next(0); i < b.size(); i = b.find_next(i + 1)) {
+    out.push_back(i);
   }
+  return out;
+}
 
-  /// Every flagged index, by the find_next word walk.
-  std::vector<std::size_t> walk() const {
-    std::vector<std::size_t> out;
-    for (std::size_t i = bits.find_next(0); i < bits.size();
-         i = bits.find_next(i + 1)) {
-      out.push_back(i);
-    }
-    return out;
-  }
-};
+/// Every flagged index, by the clearing word walk.
+std::vector<std::size_t> drain(Bitset& b) {
+  std::vector<std::size_t> out;
+  b.drain([&](std::size_t i) { out.push_back(i); });
+  return out;
+}
 
 // ------------------------------------------------------------------ Bitset
 
 TEST(Bitset, FindNextOnEmptySet) {
   for (const std::size_t n : {0u, 1u, 64u, 200u}) {
     OwnedBits f(n);
-    EXPECT_EQ(f.bits.find_next(0), n) << "n " << n;
-    EXPECT_EQ(f.bits.find_next(n), n) << "n " << n;
-    EXPECT_TRUE(f.walk().empty()) << "n " << n;
+    EXPECT_EQ(f.find_next(0), n) << "n " << n;
+    EXPECT_EQ(f.find_next(n), n) << "n " << n;
+    EXPECT_TRUE(walk(f).empty()) << "n " << n;
+    EXPECT_TRUE(drain(f).empty()) << "n " << n;
   }
 }
 
@@ -74,46 +70,54 @@ TEST(Bitset, FindNextAtWordBoundaries) {
     OwnedBits f(n);
     for (const std::size_t i : {std::size_t{0}, std::size_t{63},
                                 std::size_t{64}, n - 1}) {
-      f.bits.set(i);
+      f.set(i);
     }
     const std::vector<std::size_t> want = {0, 63, 64, n - 1};
-    EXPECT_EQ(f.walk(), want);
-    EXPECT_EQ(f.scan(), want);
-    EXPECT_EQ(f.bits.find_next(0), 0u);
-    EXPECT_EQ(f.bits.find_next(1), 63u);
-    EXPECT_EQ(f.bits.find_next(63), 63u);
-    EXPECT_EQ(f.bits.find_next(64), 64u);
-    EXPECT_EQ(f.bits.find_next(65), n - 1);
-    EXPECT_EQ(f.bits.find_next(n - 1), n - 1);
-    EXPECT_EQ(f.bits.find_next(n), n);
-    EXPECT_EQ(f.bits.find_next(n + 100), n);
+    EXPECT_EQ(walk(f), want);
+    EXPECT_EQ(scan(f), want);
+    EXPECT_EQ(f.find_next(0), 0u);
+    EXPECT_EQ(f.find_next(1), 63u);
+    EXPECT_EQ(f.find_next(63), 63u);
+    EXPECT_EQ(f.find_next(64), 64u);
+    EXPECT_EQ(f.find_next(65), n - 1);
+    EXPECT_EQ(f.find_next(n - 1), n - 1);
+    EXPECT_EQ(f.find_next(n), n);
+    EXPECT_EQ(f.find_next(n + 100), n);
+    EXPECT_EQ(drain(f), want);
+    EXPECT_FALSE(f.any());
   }
 }
 
 // PartState::poison scribbles 0xAB over whole words, tail bits included:
-// the walk, count and any must see only the bits below size().
+// the walks, count and any must see only the bits below size().
 TEST(Bitset, PoisonedTailBitsAreNeverReturned) {
   constexpr std::uint64_t kPoison = 0xABABABABABABABABULL;
   for (const std::size_t n : {1u, 2u, 66u, 128u, 130u, 191u}) {
     SCOPED_TRACE("n " + std::to_string(n));
-    OwnedBits f(n, kPoison);
-    const std::vector<std::size_t> live = f.scan();
-    EXPECT_EQ(f.walk(), live);
-    EXPECT_EQ(f.bits.count(), live.size());
-    EXPECT_EQ(f.bits.any(), !live.empty());
-    for (const std::size_t i : live) f.bits.reset(i);
-    EXPECT_EQ(f.bits.find_next(0), n);
-    EXPECT_EQ(f.bits.count(), 0u);
-    EXPECT_FALSE(f.bits.any());
+    std::vector<std::uint64_t> words(Bitset::words_for(n), kPoison);
+    Bitset f;
+    f.attach(words.data(), n);
+    const std::vector<std::size_t> live = scan(f);
+    EXPECT_EQ(walk(f), live);
+    EXPECT_EQ(f.count(), live.size());
+    EXPECT_EQ(f.any(), !live.empty());
+    for (const std::size_t i : live) f.reset(i);
+    EXPECT_EQ(f.find_next(0), n);
+    EXPECT_EQ(f.count(), 0u);
+    EXPECT_FALSE(f.any());
     // The tail word still carries poison past size().
     if (n % Bitset::kWordBits != 0) {
-      EXPECT_NE(f.words.back(), 0u);
+      EXPECT_NE(words.back(), 0u);
     }
+    // The clearing walk returns the live bits only and zeroes every word.
+    std::fill(words.begin(), words.end(), kPoison);
+    EXPECT_EQ(drain(f), live);
+    for (const std::uint64_t w : words) EXPECT_EQ(w, 0u);
   }
 }
 
 // Random set/reset sequences leave exactly the flags a byte-per-flag
-// reference holds, and walk/count/any agree with the per-index read.
+// reference holds, and walk/drain/count/any agree with the per-index read.
 TEST(Bitset, SetResetMatchReferenceFlags) {
   for (const std::size_t n : {64u, 130u, 1000u}) {
     SCOPED_TRACE("n " + std::to_string(n));
@@ -124,22 +128,72 @@ TEST(Bitset, SetResetMatchReferenceFlags) {
       const std::size_t i = rng() % n;
       const bool on = rng() % 3 != 0;
       if (on) {
-        f.bits.set(i);
+        f.set(i);
       } else {
-        f.bits.reset(i);
+        f.reset(i);
       }
       ref[i] = on ? 1 : 0;
     }
     std::vector<std::size_t> want;
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(f.bits[i], ref[i] != 0) << "i " << i;
+      EXPECT_EQ(f[i], ref[i] != 0) << "i " << i;
       if (ref[i]) want.push_back(i);
     }
-    EXPECT_EQ(f.scan(), want);
-    EXPECT_EQ(f.walk(), want);
-    EXPECT_EQ(f.bits.count(), want.size());
-    EXPECT_EQ(f.bits.any(), !want.empty());
+    EXPECT_EQ(scan(f), want);
+    EXPECT_EQ(walk(f), want);
+    EXPECT_EQ(f.count(), want.size());
+    EXPECT_EQ(f.any(), !want.empty());
+    EXPECT_EQ(drain(f), want);
+    EXPECT_EQ(f.count(), 0u);
+    EXPECT_EQ(f.find_next(0), n);
   }
+}
+
+// The async rounds' walk: find_next re-reads the words, so a bit set ahead
+// of the cursor (in the same word or a later one) is visited, while one set
+// behind it stays up for the next walk.
+TEST(Bitset, FindNextWalkSeesBitsSetAheadOfTheCursor) {
+  OwnedBits f(200);
+  f.set(10);
+  std::vector<std::size_t> seen;
+  for (std::size_t i = f.find_next(0); i < f.size(); i = f.find_next(i + 1)) {
+    f.reset(i);
+    seen.push_back(i);
+    if (i == 10) {
+      f.set(12);   // same word, ahead
+      f.set(150);  // later word
+      f.set(5);    // behind
+    }
+  }
+  EXPECT_EQ(seen, (std::vector<std::size_t>{10, 12, 150}));
+  EXPECT_EQ(walk(f), (std::vector<std::size_t>{5}));
+}
+
+// Moving an owned set carries its bits (the view follows the buffer) and
+// leaves the source empty.
+TEST(Bitset, OwnedBitsMoveKeepsTheBits) {
+  OwnedBits a(130);
+  a.set(1);
+  a.set(129);
+  OwnedBits b(std::move(a));
+  EXPECT_EQ(b.size(), 130u);
+  EXPECT_EQ(walk(b), (std::vector<std::size_t>{1, 129}));
+  EXPECT_EQ(a.size(), 0u);
+  EXPECT_FALSE(a.any());
+  OwnedBits c(3);
+  c = std::move(b);
+  EXPECT_EQ(c.size(), 130u);
+  EXPECT_EQ(drain(c), (std::vector<std::size_t>{1, 129}));
+  std::vector<OwnedBits> sets;
+  for (std::size_t n = 1; n <= 40; ++n) {
+    sets.emplace_back(n * 10);  // regrowth moves the earlier sets
+    sets.back().set(n * 10 - 1);
+  }
+  for (std::size_t n = 1; n <= 40; ++n) {
+    EXPECT_EQ(walk(sets[n - 1]), (std::vector<std::size_t>{n * 10 - 1}));
+  }
+  static_assert(!std::is_copy_constructible_v<OwnedBits>);
+  static_assert(!std::is_copy_assignable_v<OwnedBits>);
 }
 
 // Inside a machine body, a deposit into another machine's PartState aborts
@@ -175,8 +229,8 @@ TEST(Frontier, SparseActivationsAreFlagGuarded) {
   Frontier f;
   f.reset(1000);
   OwnedBits flags(1000);
-  flags.bits.set(3);
-  flags.bits.set(7);
+  flags.set(3);
+  flags.set(7);
   f.activate(3);
   f.activate(7);
   f.activate(11);  // stale: flag never set
@@ -184,7 +238,7 @@ TEST(Frontier, SparseActivationsAreFlagGuarded) {
 
   std::vector<lvid_t> seen;
   const std::size_t scanned =
-      f.for_each_flagged(flags.bits, [&](lvid_t v) { seen.push_back(v); });
+      f.for_each_flagged(flags, [&](lvid_t v) { seen.push_back(v); });
   EXPECT_EQ(scanned, 3u);  // three entries examined, two live
   EXPECT_EQ(seen, (std::vector<lvid_t>{3, 7}));
 }
@@ -194,7 +248,7 @@ TEST(Frontier, CrossingThresholdGoesDenseAndScansFlags) {
   f.reset(1000);  // threshold = max(64, 125) = 125
   OwnedBits flags(1000);
   for (lvid_t v = 0; v < 200; ++v) {
-    flags.bits.set(v);
+    flags.set(v);
     f.activate(v);
   }
   EXPECT_TRUE(f.is_dense());
@@ -202,7 +256,7 @@ TEST(Frontier, CrossingThresholdGoesDenseAndScansFlags) {
 
   std::size_t live = 0;
   const std::size_t scanned =
-      f.for_each_flagged(flags.bits, [&](lvid_t) { ++live; });
+      f.for_each_flagged(flags, [&](lvid_t) { ++live; });
   EXPECT_EQ(scanned, 1000u);  // dense = full flag scan
   EXPECT_EQ(live, 200u);
 }
@@ -224,9 +278,9 @@ TEST(Frontier, ExactThresholdStaysSparseOneMoreGoesDense) {
   // Flags carry the information from the switch on: the flipped frontier
   // scans every flag, finding the boundary activation too.
   OwnedBits flags(1000);
-  for (lvid_t v = 0; v <= 125; ++v) flags.bits.set(v);
+  for (lvid_t v = 0; v <= 125; ++v) flags.set(v);
   std::size_t live = 0;
-  EXPECT_EQ(f.for_each_flagged(flags.bits, [&](lvid_t) { ++live; }), 1000u);
+  EXPECT_EQ(f.for_each_flagged(flags, [&](lvid_t) { ++live; }), 1000u);
   EXPECT_EQ(live, 126u);
 }
 
@@ -247,19 +301,6 @@ TEST(Frontier, SortUniqueDedupsEntries) {
   for (const lvid_t v : {9, 2, 9, 5, 2}) f.activate(v);
   f.sort_unique();
   EXPECT_EQ(f.entries(), (std::vector<lvid_t>{2, 5, 9}));
-}
-
-TEST(Frontier, TrackingOffAlwaysScansFlags) {
-  Frontier f;
-  f.reset(50);
-  f.set_tracking(false);
-  f.activate(3);  // ignored
-  EXPECT_TRUE(f.entries().empty());
-  OwnedBits flags(50);
-  flags.bits.set(10);
-  std::size_t live = 0;
-  EXPECT_EQ(f.for_each_flagged(flags.bits, [&](lvid_t) { ++live; }), 50u);
-  EXPECT_EQ(live, 1u);
 }
 
 // ------------------------------------------------- sweep vs reference scan

@@ -3,6 +3,8 @@
 #include <bit>
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "graph/datasets.hpp"
@@ -67,6 +69,26 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(to_string(std::get<0>(info.param))) + "_" +
              std::to_string(std::get<1>(info.param));
     });
+
+// cut_kind_from_string: the inverse of to_string(CutKind), the one parser
+// behind the tools' --cut flag.
+TEST(CutKindFromString, RoundTripsEveryKind) {
+  for (CutKind k : {CutKind::kRandom, CutKind::kGrid, CutKind::kCoordinated,
+                    CutKind::kOblivious, CutKind::kHybrid}) {
+    EXPECT_EQ(cut_kind_from_string(to_string(k)), k);
+  }
+}
+
+TEST(CutKindFromString, UnknownNameThrowsNamingIt) {
+  for (const char* bad : {"greedy", "", "Random", "?"}) {
+    try {
+      cut_kind_from_string(bad);
+      ADD_FAILURE() << "'" << bad << "' was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), std::string("unknown cut: ") + bad);
+    }
+  }
+}
 
 TEST(Partitioner, SingleMachineLambdaIsOne) {
   const Graph g = gen::erdos_renyi(100, 500, 1);

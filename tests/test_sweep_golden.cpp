@@ -15,6 +15,11 @@
 // coordinators delivered into other machines' message slots. Any change in
 // visit order, estimate, wire-codec stream or delivery fold shows up in the
 // mode counts, byte/message tallies or digest.
+//
+// The EngineGolden tests pin the async rounds and lazy-vertex runs to the
+// worklists that sorted per-master lists (and, for async, merged in-round
+// activations through a min-heap); a changed visit order or flush order
+// shows up in the digest, applies, scan work or message tallies.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -347,6 +352,97 @@ TEST(ExchangeGolden, BatchedKcoreLanes) {
        .mirrors_to_master = {0x94cc50938e51471dULL, 12, 0, 12, 952476,
                              1113744, 952476, 23203, 224080,
                              0x1.3779969df321bp+4}});
+}
+
+// ------------------------------------------------ async and lazy-vertex runs
+
+struct EngineGolden {
+  std::uint64_t digest;
+  std::uint64_t supersteps;
+  std::uint64_t applies;
+  std::uint64_t sweep_scanned;
+  std::uint64_t network_messages;
+  std::uint64_t network_bytes;
+  double sim_seconds;
+};
+
+/// Runs `prog` with `cfg` at cluster threads 1 and 4 and checks both runs
+/// against `want`, bit for bit.
+template <class P>
+void expect_engine(const partition::DistributedGraph& dg, const P& prog,
+                   const engine::RunConfig& cfg, const EngineGolden& want) {
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("cluster threads " + std::to_string(threads));
+    sim::Cluster cluster({.machines = dg.num_machines(), .threads = threads});
+    const auto r = engine::run(cfg, dg, prog, cluster);
+    ASSERT_TRUE(r.converged);
+    const sim::SimMetrics& m = r.metrics;
+    EXPECT_EQ(digest(r.data), want.digest);
+    EXPECT_EQ(r.supersteps, want.supersteps);
+    EXPECT_EQ(m.applies, want.applies);
+    EXPECT_EQ(m.sweep_scanned, want.sweep_scanned);
+    EXPECT_EQ(m.network_messages, want.network_messages);
+    EXPECT_EQ(m.network_bytes, want.network_bytes);
+    EXPECT_EQ(m.sim_seconds(), want.sim_seconds);
+  }
+}
+
+const engine::RunConfig kAsyncRun{.kind = engine::EngineKind::kAsync};
+
+/// Staleness past any vertex's local apply count: replicas exchange deltas
+/// only through the drain-cycle flushes, which every run below needs to
+/// converge.
+const engine::RunConfig kFlushOnly{.kind = engine::EngineKind::kLazyVertex,
+                                   .staleness = 1000};
+
+partition::DistributedGraph webgoogle(bool symmetric) {
+  Graph g = datasets::make(datasets::spec_by_name("webgoogle-like"), 0.05);
+  if (symmetric) g = g.symmetrized();
+  return testsupport::build_dgraph(g, 4);
+}
+
+// The async rounds' worklist (round-start activations plus in-round ones
+// ahead of the (machine, lvid) cursor) decides the visit order and thus
+// every fold; these pin it to the per-master sorted lists merged through a
+// min-heap that the active-master bitset walk replaced.
+TEST(EngineGolden, AsyncSssp) {
+  expect_engine(webgoogle(false), algos::SSSP{.source = 0}, kAsyncRun,
+                {0x6d21047d40273557ULL, 13, 19919, 72735, 54138, 592462,
+                 0x1.d96fc2ad5372fp-4});
+}
+
+TEST(EngineGolden, AsyncBatchedDiffusionLanes) {
+  serve::BatchedProgram<algos::LinearDiffusion, 4> prog;
+  const vid_t seeds[] = {0, 101, 2002, 30003};
+  for (std::size_t i = 0; i < 4; ++i) {
+    prog.lanes[i] = {.alpha = 0.6, .seed = seeds[i], .tol = 1e-5};
+  }
+  expect_engine(webgoogle(false), prog, kAsyncRun,
+                {0x442b4fc49c8f4972ULL, 11, 20628, 75761, 58128, 3192644,
+                 0x1.0b4ead94bd79ep-3});
+}
+
+// Lazy-vertex runs whose drain-cycle flushes fire (SSSP and k-core cross the
+// cut only through them; PageRank at the default staleness drains a dozen
+// times too): pinned to the flush that collected per-master lists and
+// sorted them, and to the byte-per-vertex queue membership.
+TEST(EngineGolden, LazyVertexSssp) {
+  expect_engine(webgoogle(false), algos::SSSP{.source = 0}, kFlushOnly,
+                {0x6d21047d40273557ULL, 95, 72535, 65562, 43524, 475172,
+                 0x1.84c3b1373661ap-4});
+}
+
+TEST(EngineGolden, LazyVertexKCore) {
+  expect_engine(webgoogle(true), algos::KCore{.k = 3}, kFlushOnly,
+                {0x2ef3f95cc2b17b65ULL, 13, 10960, 10559, 433, 4748,
+                 0x1.3da8dd53c8d14p-10});
+}
+
+TEST(EngineGolden, LazyVertexPageRank) {
+  expect_engine(webgoogle(false), algos::PageRankDelta{.tol = 1e-3},
+                {.kind = engine::EngineKind::kLazyVertex},
+                {0x86febad4fdb0d0c8ULL, 311, 481157, 90370, 222675, 2422335,
+                 0x1.fe952e0b80502p-2});
 }
 
 }  // namespace

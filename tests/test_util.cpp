@@ -376,6 +376,33 @@ TEST(Options, DefaultsWhenMissing) {
   EXPECT_FALSE(o.get_bool("missing", false));
 }
 
+// Booleans take true/false, 1/0, yes/no or a bare flag; anything else is an
+// error naming the flag, never a silent false (`--split=flase` used to run
+// unsplit).
+TEST(Options, ParsesBoolsAndRejectsMalformedOnes) {
+  const char* argv[] = {"prog", "--a=true", "--b=1",  "--c=yes",
+                        "--d=false", "--e=0", "--f=no", "--g"};
+  Options o(8, argv);
+  for (const char* on : {"a", "b", "c", "g"}) {
+    EXPECT_TRUE(o.get_bool(on, false)) << on;
+  }
+  for (const char* off : {"d", "e", "f"}) {
+    EXPECT_FALSE(o.get_bool(off, true)) << off;
+  }
+  for (const char* bad : {"--split=flase", "--split=", "--split=TRUE",
+                          "--split=2", "--split= yes"}) {
+    const char* args[] = {"prog", bad};
+    Options b(2, args);
+    try {
+      b.get_bool("split", true);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const OptionError& e) {
+      EXPECT_NE(std::string(e.what()).find("--split"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // Malformed or out-of-range numbers are errors that name the flag, never a
 // silent 0 (`--machines=abc` used to parse as 0).
 TEST(Options, RejectsMalformedIntegers) {

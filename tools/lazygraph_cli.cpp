@@ -62,15 +62,6 @@ namespace {
 // Upper bound for flags stored in 32-bit fields.
 constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
 
-partition::CutKind parse_cut(const std::string& s) {
-  if (s == "random") return partition::CutKind::kRandom;
-  if (s == "grid") return partition::CutKind::kGrid;
-  if (s == "coordinated") return partition::CutKind::kCoordinated;
-  if (s == "oblivious") return partition::CutKind::kOblivious;
-  if (s == "hybrid") return partition::CutKind::kHybrid;
-  throw std::invalid_argument("unknown cut: " + s);
-}
-
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -90,7 +81,8 @@ int main(int argc, char** argv) try {
       engine::engine_kind_from_string(opts.get("engine", "lazy-block"));
   const auto machines =
       static_cast<machine_t>(opts.get_int("machines", 16, 1, 64));
-  const auto cut = parse_cut(opts.get("cut", "coordinated"));
+  const auto cut =
+      partition::cut_kind_from_string(opts.get("cut", "coordinated"));
   const bool want_split =
       opts.get_bool("split", kind == engine::EngineKind::kLazyBlock ||
                                  kind == engine::EngineKind::kLazyVertex);

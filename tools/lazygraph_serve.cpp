@@ -42,15 +42,6 @@ namespace {
 // Upper bound for flags stored in 32-bit fields.
 constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
 
-partition::CutKind parse_cut(const std::string& s) {
-  if (s == "random") return partition::CutKind::kRandom;
-  if (s == "grid") return partition::CutKind::kGrid;
-  if (s == "coordinated") return partition::CutKind::kCoordinated;
-  if (s == "oblivious") return partition::CutKind::kOblivious;
-  if (s == "hybrid") return partition::CutKind::kHybrid;
-  throw std::invalid_argument("unknown cut: " + s);
-}
-
 // "sssp,bfs,widest" -> per-family weights (1 enabled, 0 disabled).
 void apply_family_list(serve::TrafficOptions& t, const std::string& list) {
   t.w_sssp = t.w_bfs = t.w_widest = t.w_diffusion = t.w_kcore = 0.0;
@@ -84,7 +75,8 @@ int main(int argc, char** argv) try {
                        "cache-budget-mb", "trace"});
   const auto machines =
       static_cast<machine_t>(opts.get_int("machines", 8, 1, 64));
-  const auto cut = parse_cut(opts.get("cut", "coordinated"));
+  const auto cut =
+      partition::cut_kind_from_string(opts.get("cut", "coordinated"));
   const auto ingest_threads =
       static_cast<std::size_t>(opts.get_int("ingest-threads", 1, 0));
   const auto kind =
